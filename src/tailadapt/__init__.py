@@ -35,7 +35,6 @@ from .encoders import (
     FrozenView,
     ModelConfig,
     ModelParams,
-    PromptSpec,
     encode_text,
     encode_visual,
     freeze,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Graph, Tensor
-from .encoders import PromptSpec, text_features, visual_features
+from .encoders import text_features, visual_features
 from .errors import ConfigurationError
 
 PLACEMENTS = ("visual", "language", "both")
@@ -102,12 +102,11 @@ def adapted_visual(g: Graph, params, adapter: AdapterParams, x: Tensor) -> Tenso
                                 adapter.lam))
 
 
-def adapted_text(g: Graph, params, adapter: AdapterParams, class_ids,
-                 prompt: PromptSpec = PromptSpec()) -> Tensor:
+def adapted_text(g: Graph, params, adapter: AdapterParams, class_ids) -> Tensor:
     """Text embedding with the residual blend applied before normalization."""
     if not adapter.adapts_language:
         raise ConfigurationError(
             f"placement {adapter.placement!r} has no language adapter")
-    f = text_features(g, params, class_ids, prompt)
+    f = text_features(g, params, class_ids)
     return g.l2_normalize(adapt(g, f, adapter.language_weight, adapter.language_bias,
                                 adapter.lam))

@@ -101,7 +101,13 @@ def read_arrays(path) -> list[tuple[str, np.ndarray]]:
     out: list[tuple[str, np.ndarray]] = []
     for _ in range(count):
         (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode("utf-8")
+        raw = r.take(name_len)
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointFormatError(
+                f"{path}: array name at byte {r.pos - name_len} is not utf-8 "
+                f"({exc.reason})") from None
         (rank,) = r.unpack("<B")
         dims = tuple(int(r.unpack("<Q")[0]) for _ in range(rank))
         n_items = 1

@@ -87,7 +87,10 @@ def zero_shot_probs(v, bank: ClassBank, tau: float) -> np.ndarray:
 
 def predict(v, bank: ClassBank, tau: float = 1.0) -> int:
     """Class id with the highest probability; ties go to the lowest index."""
-    return int(bank.class_ids[int(np.argmax(zero_shot_probs(v, bank, tau)))])
+    vec = _as_matrix(v)
+    if vec.ndim != 1:
+        raise DimensionError(f"predict takes one query vector, got shape {vec.shape}")
+    return int(predict_batch(vec[None, :], bank, tau)[0])
 
 
 def predict_batch(v_rows, bank: ClassBank, tau: float = 1.0) -> np.ndarray:

@@ -173,6 +173,18 @@ class LongTailedDataset:
         return means
 
 
+def sample_clusters(means: np.ndarray, counts: np.ndarray, test_per_class: int,
+                    sigma: float, rng: np.random.Generator) -> LongTailedDataset:
+    """Gaussian rows around each class mean: counts[k] train rows per class,
+    then test_per_class fresh test rows per class, drawn in that order."""
+    k, dim = means.shape
+    sizes = [int(n) for n in counts] + [test_per_class] * k
+    feats = [means[i % k] + sigma * rng.normal(size=(n, dim)) for i, n in enumerate(sizes)]
+    labels = np.repeat(np.tile(np.arange(k, dtype=np.int64), 2), sizes)
+    return LongTailedDataset(np.concatenate(feats), labels, counts, test_per_class,
+                             class_means=means, noise_sigma=sigma)
+
+
 def _synth_from_counts(counts: np.ndarray, feature_dim: int, seed: int,
                        sigma: float, test_per_class: int) -> LongTailedDataset:
     if sigma < 0.0:
@@ -180,22 +192,9 @@ def _synth_from_counts(counts: np.ndarray, feature_dim: int, seed: int,
     if test_per_class < 1:
         raise ConfigurationError(f"test_per_class must be >= 1, got {test_per_class}")
     rng = np.random.default_rng(seed)
-    k = counts.shape[0]
-    means = rng.normal(size=(k, feature_dim))
+    means = rng.normal(size=(counts.shape[0], feature_dim))
     means /= np.linalg.norm(means, axis=1, keepdims=True)
-
-    feats, labels = [], []
-    for cls in range(k):  # train rows, grouped by class
-        n = int(counts[cls])
-        feats.append(means[cls] + sigma * rng.normal(size=(n, feature_dim)))
-        labels.append(np.full(n, cls, dtype=np.int64))
-    for cls in range(k):  # balanced test rows, fresh noise
-        feats.append(means[cls] + sigma * rng.normal(size=(test_per_class, feature_dim)))
-        labels.append(np.full(test_per_class, cls, dtype=np.int64))
-
-    return LongTailedDataset(np.concatenate(feats), np.concatenate(labels),
-                             counts, test_per_class,
-                             class_means=means, noise_sigma=sigma)
+    return sample_clusters(means, counts, test_per_class, sigma, rng)
 
 
 def synth_exponential(num_classes: int, n_max: int, rho: float, feature_dim: int,
@@ -328,26 +327,30 @@ def read_dataset(path) -> LongTailedDataset:
     (n_total,) = struct.unpack("<Q", take(8, "row count"))
     (feature_dim,) = struct.unpack("<I", take(4, "feature dim"))
     (num_classes,) = struct.unpack("<I", take(4, "class count"))
-    counts = np.array(struct.unpack(f"<{num_classes}Q",
-                                    take(8 * num_classes, "train counts")),
-                      dtype=np.int64)
+    counts = struct.unpack(f"<{num_classes}Q", take(8 * num_classes, "train counts"))
     (test_per_class,) = struct.unpack("<Q", take(8, "test count"))
 
-    expected = int(counts.sum()) + num_classes * test_per_class
+    expected = sum(counts) + num_classes * test_per_class
     if n_total != expected:
         raise DatasetFormatError(
             f"{path}: header says {n_total} rows but counts imply {expected}")
-
+    # check the length before allocating: a corrupt header can claim TiBs
     row_fmt = struct.Struct(f"<I{feature_dim}d")
+    size = pos + n_total * row_fmt.size
+    if len(blob) < size:
+        raise DatasetFormatError(
+            f"{path}: truncated: header implies {size} bytes, file has {len(blob)}")
+    if len(blob) > size:
+        raise DatasetFormatError(
+            f"{path}: {len(blob) - size} trailing bytes after byte {size}")
+    counts = np.array(counts, dtype=np.int64)
+
     features = np.empty((n_total, feature_dim))
     labels = np.empty(n_total, dtype=np.int64)
     for i in range(n_total):
         rec = row_fmt.unpack(take(row_fmt.size, f"row {i}"))
         labels[i] = rec[0]
         features[i] = rec[1:]
-    if pos != len(blob):
-        raise DatasetFormatError(
-            f"{path}: {len(blob) - pos} trailing bytes after byte {pos}")
     if not np.all(np.isfinite(features)):
         bad = int(np.flatnonzero(~np.isfinite(features).all(axis=1))[0])
         raise DatasetFormatError(f"{path}: non-finite feature in row {bad}")

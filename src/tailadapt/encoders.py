@@ -3,7 +3,8 @@ project into one shared, l2-normalized space.
 
 The visual branch maps raw feature vectors through affine+ReLU hidden layers,
 a final affine, and a bias-free projection. The text branch looks up a class
-embedding row, adds a prompt-template row, and runs the same kind of stack.
+embedding row, adds the single prompt-template row, and runs the same kind
+of stack.
 Both end in row normalization, so cosine similarity is a plain dot product.
 
 `freeze` wraps the parameters in a read-only view with a content digest;
@@ -13,7 +14,7 @@ stayed untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,7 +48,6 @@ class ModelConfig:
     embed_dim: int = 16
     text_dim: int = 32
     shared_dim: int = 24
-    num_templates: int = 1
 
     def bound(self, input_dim: int, num_classes: int) -> "ModelConfig":
         return replace(self, input_dim=input_dim, num_classes=num_classes)
@@ -56,16 +56,9 @@ class ModelConfig:
         if self.input_dim is None or self.num_classes is None:
             raise ConfigurationError("model config missing input_dim/num_classes")
         dims = (self.input_dim, self.num_classes, self.visual_dim, self.embed_dim,
-                self.text_dim, self.shared_dim, self.num_templates, *self.hidden)
+                self.text_dim, self.shared_dim, *self.hidden)
         if any(int(d) <= 0 for d in dims):
             raise ConfigurationError(f"model dims must be positive, got {self}")
-
-
-@dataclass
-class PromptSpec:
-    """Which template row the text encoder adds to every class embedding."""
-
-    template_id: int = 0
 
 
 def _uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
@@ -81,7 +74,7 @@ class ModelParams:
     visual_layers: list[tuple[Tensor, Tensor]]
     text_layers: list[tuple[Tensor, Tensor]]
     text_embedding: Tensor
-    template_embedding: Tensor
+    template_embedding: Tensor  # row 0 is added to every class embedding
     proj_visual: Tensor
     proj_text: Tensor
 
@@ -105,7 +98,7 @@ class ModelParams:
         text_embedding = Tensor(_uniform(rng, config.embed_dim,
                                          (config.num_classes, config.embed_dim)))
         template = Tensor(_uniform(rng, config.embed_dim,
-                                   (config.num_templates, config.embed_dim)))
+                                   (1, config.embed_dim)))
         proj_v = Tensor(_uniform(rng, config.visual_dim,
                                  (config.visual_dim, config.shared_dim)))
         proj_l = Tensor(_uniform(rng, config.text_dim,
@@ -132,48 +125,40 @@ class ModelParams:
     def digest(self) -> str:
         return digest_arrays(self.named_arrays())
 
-    def copy(self) -> "ModelParams":
+    def map_tensors(self, fn) -> "ModelParams":
+        """The same layout with every tensor replaced by fn(tensor)."""
         return ModelParams(
             self.config,
-            [(w.copy(), b.copy()) for w, b in self.visual_layers],
-            [(w.copy(), b.copy()) for w, b in self.text_layers],
-            self.text_embedding.copy(),
-            self.template_embedding.copy(),
-            self.proj_visual.copy(),
-            self.proj_text.copy(),
+            [(fn(w), fn(b)) for w, b in self.visual_layers],
+            [(fn(w), fn(b)) for w, b in self.text_layers],
+            fn(self.text_embedding),
+            fn(self.template_embedding),
+            fn(self.proj_visual),
+            fn(self.proj_text),
         )
 
+    def copy(self) -> "ModelParams":
+        return self.map_tensors(Tensor.copy)
 
-class FrozenView:
-    """Read-only view over a ModelParams with a digest of its content.
 
-    The wrapped tensors share storage with the originals but their arrays are
+def _lock(t: Tensor) -> Tensor:
+    view = t.data.view()
+    view.flags.writeable = False  # shares storage, rejects writes
+    return Tensor(view, name=t.name, frozen=True)
+
+
+class FrozenView(ModelParams):
+    """ModelParams over read-only views of another ModelParams' tensors.
+
+    The locked tensors share storage with the originals but their arrays are
     marked non-writeable and flagged frozen, so both numpy and the optimizer
-    refuse to update them. `verify()` re-hashes the live values.
+    refuse to update them. `digest` is the content digest at freeze time and
+    `verify()` re-hashes the live values against it.
     """
 
     def __init__(self, params: ModelParams):
-        self._source = params
-        self.digest = params.digest()
-
-        def lock(t: Tensor) -> Tensor:
-            view = t.data.view()
-            view.flags.writeable = False  # shares storage, rejects writes
-            return Tensor(view, name=t.name, frozen=True)
-
-        self.config = params.config
-        self.visual_layers = [(lock(w), lock(b)) for w, b in params.visual_layers]
-        self.text_layers = [(lock(w), lock(b)) for w, b in params.text_layers]
-        self.text_embedding = lock(params.text_embedding)
-        self.template_embedding = lock(params.template_embedding)
-        self.proj_visual = lock(params.proj_visual)
-        self.proj_text = lock(params.proj_text)
-
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        return ModelParams.named_parameters(self)  # same layout, frozen tensors
-
-    def named_arrays(self) -> list[tuple[str, np.ndarray]]:
-        return [(name, t.data) for name, t in self.named_parameters()]
+        super().__init__(**vars(params.map_tensors(_lock)))
+        self.digest = digest_arrays(params.named_arrays())
 
     def verify(self) -> bool:
         return digest_arrays(self.named_arrays()) == self.digest
@@ -207,7 +192,7 @@ def visual_features(g: Graph, params, x: Tensor) -> Tensor:
     return _project(g, _mlp(g, params.visual_layers, x), params.proj_visual)
 
 
-def text_features(g: Graph, params, class_ids, prompt: PromptSpec) -> Tensor:
+def text_features(g: Graph, params, class_ids) -> Tensor:
     """Projected text embedding before normalization.
 
     class_ids may contain duplicates; each id yields its own row.
@@ -217,13 +202,8 @@ def text_features(g: Graph, params, class_ids, prompt: PromptSpec) -> Tensor:
     bad = ids[(ids < 0) | (ids >= k_max)]
     if bad.size:
         raise ClassIndexError(f"class id {int(bad[0])} outside [0, {k_max})")
-    t_max = params.config.num_templates
-    if not 0 <= prompt.template_id < t_max:
-        raise ClassIndexError(
-            f"template id {prompt.template_id} outside [0, {t_max})")
     cls_rows = g.gather(params.text_embedding, ids)
-    tmpl_rows = g.gather(params.template_embedding,
-                         np.full(len(ids), prompt.template_id, dtype=np.int64))
+    tmpl_rows = g.gather(params.template_embedding, np.zeros(len(ids), dtype=np.int64))
     h = _mlp(g, params.text_layers, g.add(cls_rows, tmpl_rows))
     return _project(g, h, params.proj_text)
 
@@ -233,6 +213,6 @@ def encode_visual(g: Graph, params, x: Tensor) -> Tensor:
     return g.l2_normalize(visual_features(g, params, x))
 
 
-def encode_text(g: Graph, params, class_ids, prompt: PromptSpec = PromptSpec()) -> Tensor:
+def encode_text(g: Graph, params, class_ids) -> Tensor:
     """Rows of unit-norm text embeddings in the shared space."""
-    return g.l2_normalize(text_features(g, params, class_ids, prompt))
+    return g.l2_normalize(text_features(g, params, class_ids))

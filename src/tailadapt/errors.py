@@ -27,7 +27,7 @@ class InvalidTemperatureError(TailAdaptError, ValueError):
 
 
 class ClassIndexError(TailAdaptError, IndexError):
-    """A class or template id falls outside the embedding table."""
+    """A class id falls outside the embedding table."""
 
 
 class FrozenParameterError(TailAdaptError, RuntimeError):

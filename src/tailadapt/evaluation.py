@@ -17,7 +17,7 @@ from .adapter import AdapterParams, adapted_text, adapted_visual
 from .autodiff import Graph, Tensor
 from .contrastive import ClassBank, predict_batch
 from .data import SHOT_FEW, SHOT_MANY, SHOT_MEDIUM, LongTailedDataset, shot_split
-from .encoders import PromptSpec, encode_text, encode_visual
+from .encoders import encode_text, encode_visual
 
 SPLITS = (SHOT_MANY, SHOT_MEDIUM, SHOT_FEW)
 
@@ -82,22 +82,21 @@ def metrics_from_predictions(predictions, labels, class_counts) -> Metrics:
                    {SHOT_MANY: n_many, SHOT_MEDIUM: n_medium, SHOT_FEW: n_few})
 
 
-def build_class_bank(params, adapter: AdapterParams | None,
-                     prompt: PromptSpec = PromptSpec()) -> ClassBank:
+def build_class_bank(params, adapter: AdapterParams | None) -> ClassBank:
     """Text embedding per class, through the adapter when it covers language."""
     class_ids = np.arange(params.config.num_classes)
     g = Graph()
     if adapter is not None and adapter.adapts_language:
-        rows = adapted_text(g, params, adapter, class_ids, prompt)
+        rows = adapted_text(g, params, adapter, class_ids)
     else:
-        rows = encode_text(g, params, class_ids, prompt)
+        rows = encode_text(g, params, class_ids)
     return ClassBank(rows.data, class_ids)
 
 
 def evaluate(params, adapter: AdapterParams | None, dataset: LongTailedDataset,
-             tau: float = 1.0, prompt: PromptSpec = PromptSpec()) -> Metrics:
+             tau: float = 1.0) -> Metrics:
     """Zero-shot-rule accuracy of the (optionally adapted) model on the test split."""
-    bank = build_class_bank(params, adapter, prompt)
+    bank = build_class_bank(params, adapter)
     g = Graph()
     x = Tensor(dataset.test_features)
     if adapter is not None and adapter.adapts_visual:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -32,6 +32,7 @@ from .data import (
     SamplerState,
     draw_batch,
     read_dataset,
+    sample_clusters,
     synth_exponential,
     synth_pareto,
 )
@@ -44,6 +45,7 @@ from .encoders import (
     SEED_PHASE_B_SAMPLER,
     SEED_WARM_POOL,
     SEED_WARM_SAMPLER,
+    FrozenView,
     ModelConfig,
     ModelParams,
     encode_text,
@@ -265,84 +267,76 @@ def init_params(config: RunConfig, dataset: LongTailedDataset) -> ModelParams:
     return ModelParams.init(bound, np.random.default_rng([config.seed, SEED_INIT]))
 
 
-def _pool_from_means(means: np.ndarray, sigma: float, per_class: int,
-                     rng: np.random.Generator) -> LongTailedDataset:
-    k, dim = means.shape
-    test_per_class = 1  # placeholder split; warm-start logs evaluate elsewhere
-    feats, labels = [], []
-    for cls in range(k):
-        feats.append(means[cls] + sigma * rng.normal(size=(per_class, dim)))
-        labels.append(np.full(per_class, cls, dtype=np.int64))
-    for cls in range(k):
-        feats.append(means[cls] + sigma * rng.normal(size=(test_per_class, dim)))
-        labels.append(np.full(test_per_class, cls, dtype=np.int64))
-    return LongTailedDataset(np.concatenate(feats), np.concatenate(labels),
-                             np.full(k, per_class, dtype=np.int64), test_per_class,
-                             class_means=means.copy(), noise_sigma=sigma)
+def _dataset_for(config: RunConfig, dataset: LongTailedDataset | None,
+                 modes: Sequence[str] = MODES, what: str = "") -> LongTailedDataset:
+    """Validate the config, refuse modes that do not run `what`, and build
+    the dataset unless the caller passed one."""
+    config.validate()
+    if config.mode not in modes:
+        raise ConfigurationError(f"mode {config.mode!r} does not run {what}")
+    return build_dataset(config) if dataset is None else dataset
 
 
-def warm_start(config: RunConfig, dataset: LongTailedDataset | None = None,
-               log: list | None = None) -> ModelParams:
-    """Initialize the backbone and briefly pre-train it on a balanced pool.
+def _backbone(config: RunConfig, dataset: LongTailedDataset, log: list) -> ModelParams:
+    return (warm_start(config, dataset, log) if config.warm_start
+            else init_params(config, dataset))
 
-    The pool shares the dataset's class means but uses freshly drawn cluster
-    noise, so it overlaps the real train split in distribution, not in rows.
-    """
-    if dataset is None:
-        dataset = build_dataset(config)
-    params = init_params(config, dataset)
-    if config.warm_start_epochs == 0:
-        return params
-    if dataset.class_means is not None:
-        means, sigma = dataset.class_means, dataset.noise_sigma
-    else:
-        means, sigma = dataset.empirical_class_means(), config.dataset.sigma
-    pool = _pool_from_means(means, sigma, config.warm_start_per_class,
-                            np.random.default_rng([config.seed, SEED_WARM_POOL]))
-    _train_epochs(
-        params, None, pool, config,
-        epochs=config.warm_start_epochs,
-        strategy="instance",
-        sampler_seed=[config.seed, SEED_WARM_SAMPLER],
-        groups=[(params.named_parameters(), config.lr_backbone)],
-        phase_label="warm",
-        log=log,
-        eval_dataset=dataset,
-    )
-    return params
+
+def _init_adapter(config: RunConfig) -> AdapterParams:
+    return AdapterParams.init(config.model.shared_dim, config.lam, config.placement,
+                              np.random.default_rng([config.seed, SEED_ADAPTER_INIT]))
+
+
+def _strategy(config: RunConfig, balanced: bool) -> str:
+    return config.balance_sampler if balanced else "instance"
 
 
 # ---- the epoch engine -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Phase:
+    """One pass of the epoch engine: its log label, its length, how it
+    samples, and the SEED_* tag of its sampler stream."""
+
+    label: str
+    epochs: int
+    strategy: str
+    seed_tag: int
 
 
 def _steps_per_epoch(n_train: int, batch_size: int) -> int:
     return max(1, math.ceil(n_train / batch_size))
 
 
-def _train_epochs(backbone, adapter: AdapterParams | None,
-                  dataset: LongTailedDataset, config: RunConfig, *,
-                  epochs: int, strategy: str, sampler_seed,
-                  groups: list[tuple[list, float]], phase_label: str,
-                  log: list | None, eval_dataset: LongTailedDataset | None = None) -> None:
+def _train_epochs(phase: Phase, backbone, adapter: AdapterParams | None,
+                  dataset: LongTailedDataset, config: RunConfig, log: list | None,
+                  eval_dataset: LongTailedDataset | None = None) -> None:
     """Shared loop: sample, forward, backward, momentum step, log per epoch.
 
-    `groups` pairs a named-parameter list with its base learning rate; the
-    cosine schedule decays each group over this call's own epochs. When
-    `adapter` is given, branches it covers go through the blended path.
+    The backbone trains at lr_backbone unless it is a FrozenView; the
+    adapter, when given, trains at lr_adapter, and the branches it covers go
+    through the blended path. Each learning rate decays on a cosine over the
+    phase's own epochs.
     """
-    if epochs == 0:
+    if phase.epochs == 0:
         return
+    groups = []
+    if not isinstance(backbone, FrozenView):
+        groups.append((backbone.named_parameters(), config.lr_backbone))
+    if adapter is not None:
+        groups.append((adapter.named_parameters(), config.lr_adapter))
     eval_on = dataset if eval_dataset is None else eval_dataset
-    sampler = SamplerState.create(strategy, sampler_seed)
+    sampler = SamplerState.create(phase.strategy, [config.seed, phase.seed_tag])
     steps = _steps_per_epoch(dataset.n_train, config.batch_size)
-    total_steps = epochs * steps
+    total_steps = phase.epochs * steps
     all_named = [pair for group, _ in groups for pair in group]
     opt = OptimizerState.for_params(all_named)
     trainable_tensors = [t for _, t in all_named]
     done = 0
 
-    for epoch in range(epochs):
-        lrs = [cosine_lr(epoch, epochs, base_lr) for _, base_lr in groups]
+    for epoch in range(phase.epochs):
+        lrs = [cosine_lr(epoch, phase.epochs, base_lr) for _, base_lr in groups]
         losses = np.empty(steps)
         for s in range(steps):
             sampler.set_progress(done / total_steps)
@@ -364,7 +358,7 @@ def _train_epochs(backbone, adapter: AdapterParams | None,
             value = float(loss.data)
             if not math.isfinite(value) or value > DIVERGENCE_CEILING:
                 raise DivergenceError(
-                    f"loss {value} at {phase_label} step {done} (epoch {epoch + 1})")
+                    f"loss {value} at {phase.label} step {done} (epoch {epoch + 1})")
             g.backward(loss, params=trainable_tensors)
             for (group, _), lr in zip(groups, lrs):
                 sgd_momentum_step(group, {n: t.grad for n, t in group}, opt,
@@ -373,43 +367,45 @@ def _train_epochs(backbone, adapter: AdapterParams | None,
             done += 1
         if log is not None:
             metrics = evaluate(backbone, adapter, eval_on, config.tau)
-            log.append({
-                "phase": phase_label,
-                "epoch": epoch + 1,
-                "mean_loss": float(losses.mean()),
-                "lr": lrs[0],
-                "overall": metrics.overall,
-                "many": metrics.many,
-                "medium": metrics.medium,
-                "few": metrics.few,
-            })
+            log.append({"phase": phase.label, "epoch": epoch + 1,
+                        "mean_loss": float(losses.mean()), "lr": lrs[0],
+                        **metrics.summary()})
 
 
 # ---- phases -----------------------------------------------------------------
 
 
+def warm_start(config: RunConfig, dataset: LongTailedDataset | None = None,
+               log: list | None = None) -> ModelParams:
+    """Initialize the backbone and briefly pre-train it on a balanced pool.
+
+    The pool shares the dataset's class means but uses freshly drawn cluster
+    noise, so it overlaps the real train split in distribution, not in rows.
+    """
+    dataset = _dataset_for(config, dataset)
+    params = init_params(config, dataset)
+    if dataset.class_means is not None:
+        means, sigma = dataset.class_means, dataset.noise_sigma
+    else:
+        means, sigma = dataset.empirical_class_means(), config.dataset.sigma
+    # one placeholder test row per class; warm-start logs evaluate on `dataset`
+    pool = sample_clusters(means, np.full(len(means), config.warm_start_per_class),
+                           1, sigma, np.random.default_rng([config.seed, SEED_WARM_POOL]))
+    _train_epochs(Phase("warm", config.warm_start_epochs, "instance", SEED_WARM_SAMPLER),
+                  params, None, pool, config, log, eval_dataset=dataset)
+    return params
+
+
 def train_phase_a(config: RunConfig, dataset: LongTailedDataset | None = None,
                   params: ModelParams | None = None) -> tuple[ModelParams, list]:
     """Full-backbone contrastive fine-tuning on the long-tailed split."""
-    config.validate()
-    if config.mode not in ("two_phase", "phase_a_only"):
-        raise ConfigurationError(f"mode {config.mode!r} does not run Phase A")
-    if dataset is None:
-        dataset = build_dataset(config)
+    dataset = _dataset_for(config, dataset, ("two_phase", "phase_a_only"), "Phase A")
     log: list[dict] = []
     if params is None:
-        params = (warm_start(config, dataset, log) if config.warm_start
-                  else init_params(config, dataset))
-    strategy = config.balance_sampler if config.balance_phase_a else "instance"
-    _train_epochs(
-        params, None, dataset, config,
-        epochs=config.epochs_a,
-        strategy=strategy,
-        sampler_seed=[config.seed, SEED_PHASE_A_SAMPLER],
-        groups=[(params.named_parameters(), config.lr_backbone)],
-        phase_label="A",
-        log=log,
-    )
+        params = _backbone(config, dataset, log)
+    phase = Phase("A", config.epochs_a, _strategy(config, config.balance_phase_a),
+                  SEED_PHASE_A_SAMPLER)
+    _train_epochs(phase, params, None, dataset, config, log)
     return params, log
 
 
@@ -419,24 +415,13 @@ def train_phase_b(params: ModelParams, config: RunConfig,
 
     The backbone digest is checked after training; any drift raises.
     """
-    config.validate()
-    if dataset is None:
-        dataset = build_dataset(config)
+    dataset = _dataset_for(config, dataset)
     frozen = freeze(params)
-    adapter = AdapterParams.init(
-        config.model.shared_dim, config.lam, config.placement,
-        np.random.default_rng([config.seed, SEED_ADAPTER_INIT]))
-    strategy = config.balance_sampler if config.balance_phase_b else "instance"
+    adapter = _init_adapter(config)
     log: list[dict] = []
-    _train_epochs(
-        frozen, adapter, dataset, config,
-        epochs=config.epochs_b,
-        strategy=strategy,
-        sampler_seed=[config.seed, SEED_PHASE_B_SAMPLER],
-        groups=[(adapter.named_parameters(), config.lr_adapter)],
-        phase_label="B",
-        log=log,
-    )
+    phase = Phase("B", config.epochs_b, _strategy(config, config.balance_phase_b),
+                  SEED_PHASE_B_SAMPLER)
+    _train_epochs(phase, frozen, adapter, dataset, config, log)
     if not frozen.verify():
         raise FreezeViolationError(
             "backbone digest changed during adapter training")
@@ -448,30 +433,13 @@ def train_joint(config: RunConfig,
                 ) -> tuple[ModelParams, AdapterParams, list]:
     """Single-stage baseline: backbone and adapter updated together for
     epochs_a + epochs_b epochs on the Phase-A sampler."""
-    config.validate()
-    if config.mode != "joint":
-        raise ConfigurationError(f"mode {config.mode!r} is not the joint baseline")
-    if dataset is None:
-        dataset = build_dataset(config)
+    dataset = _dataset_for(config, dataset, ("joint",), "the joint baseline")
     log: list[dict] = []
-    if config.warm_start:
-        params = warm_start(config, dataset, log)
-    else:
-        params = init_params(config, dataset)
-    adapter = AdapterParams.init(
-        config.model.shared_dim, config.lam, config.placement,
-        np.random.default_rng([config.seed, SEED_ADAPTER_INIT]))
-    strategy = config.balance_sampler if config.balance_phase_a else "instance"
-    _train_epochs(
-        params, adapter, dataset, config,
-        epochs=config.epochs_a + config.epochs_b,
-        strategy=strategy,
-        sampler_seed=[config.seed, SEED_JOINT_SAMPLER],
-        groups=[(params.named_parameters(), config.lr_backbone),
-                (adapter.named_parameters(), config.lr_adapter)],
-        phase_label="joint",
-        log=log,
-    )
+    params = _backbone(config, dataset, log)
+    adapter = _init_adapter(config)
+    phase = Phase("joint", config.epochs_a + config.epochs_b,
+                  _strategy(config, config.balance_phase_a), SEED_JOINT_SAMPLER)
+    _train_epochs(phase, params, adapter, dataset, config, log)
     return params, adapter, log
 
 
@@ -490,24 +458,17 @@ class RunResult:
 
 def run(config: RunConfig) -> RunResult:
     """Execute one full run for the configured mode and evaluate it."""
-    config.validate()
-    dataset = build_dataset(config)
-    if config.mode == "two_phase":
-        params, log = train_phase_a(config, dataset)
-        adapter, log_b = train_phase_b(params, config, dataset)
-        log = log + log_b
-    elif config.mode == "phase_a_only":
-        params, log = train_phase_a(config, dataset)
-        adapter = None
-    elif config.mode == "joint":
+    dataset = _dataset_for(config, None)
+    adapter, log = None, []
+    if config.mode == "joint":
         params, adapter, log = train_joint(config, dataset)
     elif config.mode == "zero_shot_baseline":
-        log = []
-        params = (warm_start(config, dataset, log) if config.warm_start
-                  else init_params(config, dataset))
-        adapter = None
-    else:  # unreachable after validate()
-        raise ConfigurationError(f"unknown mode {config.mode!r}")
+        params = _backbone(config, dataset, log)
+    else:
+        params, log = train_phase_a(config, dataset)
+        if config.mode == "two_phase":
+            adapter, log_b = train_phase_b(params, config, dataset)
+            log += log_b
     metrics = evaluate(params, adapter, dataset, config.tau)
     return RunResult(config, dataset, params, adapter, log, metrics)
 
@@ -563,7 +524,6 @@ def load_checkpoint(path) -> tuple[ModelParams, AdapterParams | None]:
         embed_dim=embedding.shape[1],
         text_dim=text[-1][0].shape[1],
         shared_dim=proj_v.shape[1],
-        num_templates=template.shape[0],
     )
     params = ModelParams(config, visual, text, embedding, template, proj_v, proj_l)
 

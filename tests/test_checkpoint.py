@@ -69,6 +69,18 @@ def test_truncation_reports_offset(tmp_path):
         read_arrays(path)
 
 
+def test_non_utf8_name_reports_offset(tmp_path):
+    path = tmp_path / "u.ltck"
+    write_arrays(path, [("ab", np.zeros(2))])
+    blob = bytearray(path.read_bytes())
+    name_at = 4 + 4 + 4 + 2  # magic, version, count, name length
+    assert blob[name_at:name_at + 2] == b"ab"
+    blob[name_at:name_at + 2] = b"\xff\xfe"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointFormatError, match=f"byte {name_at}"):
+        read_arrays(path)
+
+
 def test_trailing_garbage_rejected(tmp_path):
     path = tmp_path / "g.ltck"
     write_arrays(path, sample_arrays())

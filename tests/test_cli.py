@@ -144,6 +144,22 @@ def test_missing_files_fail_nonzero(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_eval_bad_checkpoint_name_is_a_diagnostic_failure(tmp_path, capsys):
+    data = _gen(tmp_path, capsys)
+    cfg_path, cfg = _config_file(tmp_path, data)
+    assert main(["train", "--config", str(cfg_path), "--mode", "phase_a_only"]) == 0
+    capsys.readouterr()
+    path = tmp_path / "model.ltck"
+    blob = bytearray(path.read_bytes())
+    name_at = 4 + 4 + 4 + 2  # magic, version, count, first name length
+    blob[name_at:name_at + 2] = b"\xff\xfe"
+    path.write_bytes(bytes(blob))
+    rc = main(["eval", "--checkpoint", str(path), "--data", str(data)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
 def test_sweep_lambda_table_output(tmp_path, capsys):
     data = _gen(tmp_path, capsys)
     cfg_path, _ = _config_file(tmp_path, data)

@@ -325,6 +325,18 @@ def test_header_row_count_mismatch_rejected(tmp_path):
         read_dataset(path)
 
 
+@pytest.mark.parametrize("n_total", [2 ** 36, 2 ** 63 + 6])  # 2 TiB; a count past int64
+def test_huge_row_count_rejected_before_allocating(tmp_path, n_total):
+    import struct as _struct
+    header = (b"LTDS" + _struct.pack("<IQII", 1, n_total, 4, 1)
+              + _struct.pack("<QQ", n_total - 1, 1))
+    path = tmp_path / "huge.ltds"
+    path.write_bytes(header + b"\x00" * 8)
+    assert len(path.read_bytes()) == 48
+    with pytest.raises(DatasetFormatError, match="truncated"):
+        read_dataset(path)
+
+
 def test_in_memory_count_validation():
     feats = np.zeros((5, 2))
     labels = np.array([0, 0, 1, 0, 1])

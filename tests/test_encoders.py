@@ -10,7 +10,6 @@ from tailadapt.encoders import (
     FrozenView,
     ModelConfig,
     ModelParams,
-    PromptSpec,
     encode_text,
     encode_visual,
     freeze,
@@ -22,7 +21,7 @@ def identity_params(dim=2, num_classes=3, embedding=None):
     """No hidden layers, identity weights everywhere, zero template row."""
     config = ModelConfig(input_dim=dim, num_classes=num_classes, hidden=(),
                          visual_dim=dim, embed_dim=dim, text_dim=dim,
-                         shared_dim=dim, num_templates=1)
+                         shared_dim=dim)
     params = ModelParams.init(config, seed=0)
     eye = np.eye(dim)
     params.visual_layers[0][0].data[:] = eye
@@ -106,24 +105,12 @@ def test_init_is_seeded_and_biases_zero():
     assert not np.array_equal(w0, random_params(seed=5).visual_layers[0][0].data)
 
 
-def test_template_switch_changes_output_keeps_norms():
-    params = random_params(num_templates=2)
-    g = Graph()
-    a = encode_text(g, params, [0, 1], PromptSpec(template_id=0))
-    b = encode_text(g, params, [0, 1], PromptSpec(template_id=1))
-    assert not np.array_equal(a.data, b.data)
-    for out in (a, b):
-        assert np.allclose(np.linalg.norm(out.data, axis=1), 1.0, atol=1e-12)
-
-
 def test_out_of_range_ids_rejected():
     params = random_params()
     with pytest.raises(ClassIndexError, match="20"):
         encode_text(Graph(), params, [0, 20])
     with pytest.raises(ClassIndexError, match="-1"):
         encode_text(Graph(), params, [-1])
-    with pytest.raises(ClassIndexError, match="template"):
-        encode_text(Graph(), params, [0], PromptSpec(template_id=1))
 
 
 def test_wrong_input_width_rejected():

@@ -178,6 +178,37 @@ def test_warm_start_logs_under_warm_label():
     assert [r["phase"] for r in log] == ["warm", "warm", "A"]
 
 
+def test_warm_start_on_file_dataset_uses_empirical_means(tmp_path):
+    from tailadapt.data import LongTailedDataset, synth_exponential, write_dataset
+
+    path = tmp_path / "d.ltds"
+    write_dataset(synth_exponential(6, 40, 10.0, 8, seed=5, test_per_class=8), path)
+    cfg = small_config(dataset=DatasetSpec(kind="file", path=str(path)),
+                       warm_start=True, warm_start_epochs=2, warm_start_per_class=10)
+    ds = build_dataset(cfg)
+    assert ds.class_means is None
+    # same pool as a dataset that carries those means and the config's sigma
+    twin = LongTailedDataset(ds.features, ds.labels, ds.class_counts, ds.test_per_class,
+                             class_means=ds.empirical_class_means(),
+                             noise_sigma=cfg.dataset.sigma)
+    got, want = warm_start(cfg, ds), warm_start(cfg, twin)
+    cold = init_params(cfg, ds)
+    moved = False
+    for (_, a), (_, b), (_, c) in zip(got.named_arrays(), want.named_arrays(),
+                                      cold.named_arrays()):
+        np.testing.assert_array_equal(a, b)
+        moved = moved or not np.array_equal(a, c)
+    assert moved
+
+
+def test_joint_run_with_warm_start_logs_warm_then_joint():
+    cfg = small_config(mode="joint", warm_start=True, warm_start_epochs=2,
+                       warm_start_per_class=8, epochs_a=2, epochs_b=1)
+    result = run(cfg)
+    assert [(r["phase"], r["epoch"]) for r in result.log] == [
+        ("warm", 1), ("warm", 2), ("joint", 1), ("joint", 2), ("joint", 3)]
+
+
 # ---- end-to-end runs ------------------------------------------------------
 
 

@@ -21,12 +21,13 @@ how the two-phase trainer proves the backbone never moved.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
 
-from .errors import CheckpointFormatError
+from .errors import CheckpointFormatError, TailAdaptError
 
 MAGIC = b"LTCK"
 VERSION = 1
@@ -37,12 +38,10 @@ def digest_arrays(named: Iterable[tuple[str, np.ndarray]]) -> str:
     """SHA-256 over name, shape, and raw little-endian float64 bytes."""
     h = hashlib.sha256()
     for name, arr in named:
-        a = np.ascontiguousarray(arr, dtype="<f8")
+        a = np.asarray(arr, dtype="<f8")
         h.update(name.encode("utf-8"))
         h.update(b"\x00")
-        h.update(struct.pack("<B", a.ndim))
-        for dim in a.shape:
-            h.update(struct.pack("<Q", dim))
+        h.update(struct.pack(f"<B{a.ndim}Q", a.ndim, *a.shape))
         h.update(a.tobytes())
     return h.hexdigest()
 
@@ -54,32 +53,32 @@ def backbone_digest(named: Iterable[tuple[str, np.ndarray]]) -> str:
 
 def write_arrays(path, named: Sequence[tuple[str, np.ndarray]]) -> None:
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        f.write(struct.pack("<I", len(named)))
+        f.write(struct.pack("<4sII", MAGIC, VERSION, len(named)))
         for name, arr in named:
-            a = np.ascontiguousarray(arr, dtype="<f8")
+            a = np.asarray(arr, dtype="<f8")  # tobytes() is C order; keeps 0-d
             encoded = name.encode("utf-8")
-            f.write(struct.pack("<H", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<B", a.ndim))
-            for dim in a.shape:
-                f.write(struct.pack("<Q", dim))
+            f.write(struct.pack(f"<H{len(encoded)}sB{a.ndim}Q", len(encoded), encoded,
+                                a.ndim, *a.shape))
             f.write(a.tobytes())
 
 
-class _Reader:
-    """Tracks the byte offset so format errors can point at it."""
+class ByteReader:
+    """A whole file's bytes and a read offset, so format errors can point at
+    it. Every failure raises `error` with the path in the message."""
 
-    def __init__(self, blob: bytes, path):
-        self.blob = blob
+    def __init__(self, path, error: type[TailAdaptError]):
+        with open(path, "rb") as f:
+            self.blob = memoryview(f.read())  # slices share, never copy
         self.path = path
+        self.error = error
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def fail(self, message: str) -> NoReturn:
+        raise self.error(f"{self.path}: {message}")
+
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.blob):
-            raise CheckpointFormatError(
-                f"{self.path}: truncated at byte {self.pos}, needed {n} more")
+            self.fail(f"truncated at byte {self.pos}, needed {n} more")
         chunk = self.blob[self.pos:self.pos + n]
         self.pos += n
         return chunk
@@ -87,36 +86,40 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def header(self, magic: bytes, version: int) -> None:
+        if self.take(len(magic)) != magic:
+            self.fail("bad magic at byte 0")
+        (found,) = self.unpack("<I")
+        if found != version:
+            self.fail(f"unsupported version {found}")
+
+    def expect_remaining(self, n: int) -> None:
+        left = len(self.blob) - self.pos
+        if left < n:
+            self.fail(f"truncated: {n} bytes needed after byte {self.pos}, {left} left")
+        if left > n:
+            self.fail(f"{left - n} trailing bytes after byte {self.pos + n}")
+
 
 def read_arrays(path) -> list[tuple[str, np.ndarray]]:
-    with open(path, "rb") as f:
-        blob = f.read()
-    r = _Reader(blob, path)
-    if r.take(4) != MAGIC:
-        raise CheckpointFormatError(f"{path}: bad magic at byte 0")
-    (version,) = r.unpack("<I")
-    if version != VERSION:
-        raise CheckpointFormatError(f"{path}: unsupported version {version}")
+    r = ByteReader(path, CheckpointFormatError)
+    r.header(MAGIC, VERSION)
     (count,) = r.unpack("<I")
     out: list[tuple[str, np.ndarray]] = []
     for _ in range(count):
         (name_len,) = r.unpack("<H")
-        raw = r.take(name_len)
         try:
-            name = raw.decode("utf-8")
+            name = bytes(r.take(name_len)).decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise CheckpointFormatError(
-                f"{path}: array name at byte {r.pos - name_len} is not utf-8 "
-                f"({exc.reason})") from None
+            r.fail(f"array name at byte {r.pos - name_len} is not utf-8 ({exc.reason})")
+        rank_at = r.pos
         (rank,) = r.unpack("<B")
-        dims = tuple(int(r.unpack("<Q")[0]) for _ in range(rank))
-        n_items = 1
-        for d in dims:
-            n_items *= d
-        payload = r.take(8 * n_items)
-        arr = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
+        dims = r.unpack(f"<{rank}Q")
+        flat = np.frombuffer(r.take(8 * math.prod(dims)), "<f8")
+        try:
+            arr = flat.reshape(dims).copy()
+        except ValueError:  # rank or a zero-size dim past what numpy supports
+            r.fail(f"shape of rank {rank} at byte {rank_at} is not supported")
         out.append((name, arr))
-    if r.pos != len(blob):
-        raise CheckpointFormatError(
-            f"{path}: {len(blob) - r.pos} trailing bytes after byte {r.pos}")
+    r.expect_remaining(0)
     return out

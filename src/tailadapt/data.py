@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import ByteReader
 from .errors import (
     ConfigurationError,
     DatasetFormatError,
@@ -119,12 +120,21 @@ class LongTailedDataset:
         if self.features.shape[0] != expected:
             raise ConfigurationError(
                 f"row count {self.features.shape[0]} does not match counts ({expected})")
-        train_labels = self.labels[:self.n_train]
+        bad = np.flatnonzero((self.labels < 0) | (self.labels >= self.num_classes))
+        if bad.size:
+            raise ConfigurationError(
+                f"label {int(self.labels[bad[0]])} out of range in row {int(bad[0])}")
+        train_labels = self.train_labels
         hist = np.bincount(train_labels, minlength=self.num_classes)
         if not np.array_equal(hist, self.class_counts):
             raise ConfigurationError(
-                f"train labels disagree with class counts: {hist.tolist()} "
-                f"vs {self.class_counts.tolist()}")
+                f"train labels disagree with class counts: expected "
+                f"{self.class_counts.tolist()}, found {hist.tolist()}")
+        test_hist = np.bincount(self.test_labels, minlength=self.num_classes)
+        if np.any(test_hist != self.test_per_class):
+            raise ConfigurationError(
+                f"test split not balanced: expected {self.test_per_class} per class, "
+                f"found {test_hist.tolist()}")
         self._train_index = [np.flatnonzero(train_labels == k)
                              for k in range(self.num_classes)]
 
@@ -191,6 +201,8 @@ def _synth_from_counts(counts: np.ndarray, feature_dim: int, seed: int,
         raise ConfigurationError(f"sigma must be >= 0, got {sigma}")
     if test_per_class < 1:
         raise ConfigurationError(f"test_per_class must be >= 1, got {test_per_class}")
+    if feature_dim < 1:
+        raise ConfigurationError(f"feature_dim must be >= 1, got {feature_dim}")
     rng = np.random.default_rng(seed)
     means = rng.normal(size=(counts.shape[0], feature_dim))
     means /= np.linalg.norm(means, axis=1, keepdims=True)
@@ -289,86 +301,44 @@ def draw_batch(state: SamplerState, dataset: LongTailedDataset,
 # ---- dataset files ----------------------------------------------------------
 
 
+def _row_dtype(feature_dim: int) -> np.dtype:
+    return np.dtype([("label", "<u4"), ("f", "<f8", (feature_dim,))])
+
+
 def write_dataset(dataset: LongTailedDataset, path) -> None:
     k = dataset.num_classes
+    rows = np.empty(dataset.labels.shape[0], dtype=_row_dtype(dataset.feature_dim))
+    rows["label"] = dataset.labels
+    rows["f"] = dataset.features
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        f.write(struct.pack("<Q", dataset.features.shape[0]))
-        f.write(struct.pack("<I", dataset.feature_dim))
-        f.write(struct.pack("<I", k))
-        f.write(struct.pack(f"<{k}Q", *dataset.class_counts.tolist()))
-        f.write(struct.pack("<Q", dataset.test_per_class))
-        row_fmt = struct.Struct(f"<I{dataset.feature_dim}d")
-        for label, row in zip(dataset.labels, dataset.features):
-            f.write(row_fmt.pack(int(label), *row.tolist()))
+        f.write(struct.pack(f"<4sIQII{k}QQ", MAGIC, VERSION, rows.shape[0],
+                            dataset.feature_dim, k, *dataset.class_counts.tolist(),
+                            dataset.test_per_class))
+        f.write(rows)
 
 
 def read_dataset(path) -> LongTailedDataset:
-    with open(path, "rb") as f:
-        blob = f.read()
-
-    pos = 0
-
-    def take(n: int, what: str) -> bytes:
-        nonlocal pos
-        if pos + n > len(blob):
-            raise DatasetFormatError(
-                f"{path}: truncated at byte {pos} while reading {what}")
-        chunk = blob[pos:pos + n]
-        pos += n
-        return chunk
-
-    if take(4, "magic") != MAGIC:
-        raise DatasetFormatError(f"{path}: bad magic at byte 0")
-    (version,) = struct.unpack("<I", take(4, "version"))
-    if version != VERSION:
-        raise DatasetFormatError(f"{path}: unsupported version {version}")
-    (n_total,) = struct.unpack("<Q", take(8, "row count"))
-    (feature_dim,) = struct.unpack("<I", take(4, "feature dim"))
-    (num_classes,) = struct.unpack("<I", take(4, "class count"))
-    counts = struct.unpack(f"<{num_classes}Q", take(8 * num_classes, "train counts"))
-    (test_per_class,) = struct.unpack("<Q", take(8, "test count"))
-
+    """Byte-level checks here; the row invariants are LongTailedDataset's."""
+    r = ByteReader(path, DatasetFormatError)
+    r.header(MAGIC, VERSION)
+    n_total, feature_dim, num_classes = r.unpack("<QII")
+    counts = r.unpack(f"<{num_classes}Q")
+    (test_per_class,) = r.unpack("<Q")
     expected = sum(counts) + num_classes * test_per_class
     if n_total != expected:
-        raise DatasetFormatError(
-            f"{path}: header says {n_total} rows but counts imply {expected}")
-    # check the length before allocating: a corrupt header can claim TiBs
-    row_fmt = struct.Struct(f"<I{feature_dim}d")
-    size = pos + n_total * row_fmt.size
-    if len(blob) < size:
-        raise DatasetFormatError(
-            f"{path}: truncated: header implies {size} bytes, file has {len(blob)}")
-    if len(blob) > size:
-        raise DatasetFormatError(
-            f"{path}: {len(blob) - size} trailing bytes after byte {size}")
-    counts = np.array(counts, dtype=np.int64)
-
-    features = np.empty((n_total, feature_dim))
-    labels = np.empty(n_total, dtype=np.int64)
-    for i in range(n_total):
-        rec = row_fmt.unpack(take(row_fmt.size, f"row {i}"))
-        labels[i] = rec[0]
-        features[i] = rec[1:]
-    if not np.all(np.isfinite(features)):
-        bad = int(np.flatnonzero(~np.isfinite(features).all(axis=1))[0])
-        raise DatasetFormatError(f"{path}: non-finite feature in row {bad}")
-    if np.any(labels < 0) or np.any(labels >= num_classes):
-        bad = int(np.flatnonzero((labels < 0) | (labels >= num_classes))[0])
-        raise DatasetFormatError(
-            f"{path}: label {int(labels[bad])} out of range in row {bad}")
-
-    n_train = int(counts.sum())
-    hist = np.bincount(labels[:n_train], minlength=num_classes)
-    if not np.array_equal(hist, counts):
-        raise DatasetFormatError(
-            f"{path}: train labels disagree with header counts: expected "
-            f"{counts.tolist()}, found {hist.tolist()}")
-    test_hist = np.bincount(labels[n_train:], minlength=num_classes)
-    if not np.all(test_hist == test_per_class):
-        raise DatasetFormatError(
-            f"{path}: test split not balanced: expected {test_per_class} per "
-            f"class, found {test_hist.tolist()}")
-
-    return LongTailedDataset(features, labels, counts, int(test_per_class))
+        r.fail(f"header says {n_total} rows but counts imply {expected}")
+    if n_total == 0:
+        r.fail("header declares no rows")
+    # check the length before building the row dtype: a corrupt header can
+    # claim TiBs, or a width no dtype can hold
+    r.expect_remaining(n_total * (4 + 8 * feature_dim))
+    rows = np.frombuffer(r.blob, _row_dtype(feature_dim), count=n_total, offset=r.pos)
+    features = np.ascontiguousarray(rows["f"])
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        r.fail(f"non-finite feature in row {int(np.argmin(finite))}")
+    try:
+        return LongTailedDataset(features, rows["label"], np.array(counts, dtype=np.int64),
+                                 test_per_class)
+    except ConfigurationError as exc:
+        r.fail(str(exc))

@@ -60,6 +60,14 @@ class ModelConfig:
         if any(int(d) <= 0 for d in dims):
             raise ConfigurationError(f"model dims must be positive, got {self}")
 
+    def parameter_count(self) -> int:
+        """Floats in ModelParams.init(self), counted without allocating them."""
+        stacks = ((self.input_dim, *self.hidden, self.visual_dim),
+                  (self.embed_dim, *self.hidden, self.text_dim))
+        return (sum(a * b + b for dims in stacks for a, b in zip(dims, dims[1:]))
+                + (self.num_classes + 1) * self.embed_dim
+                + (self.visual_dim + self.text_dim) * self.shared_dim)
+
 
 def _uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
     bound = 1.0 / np.sqrt(fan_in)

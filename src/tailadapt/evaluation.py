@@ -18,6 +18,7 @@ from .autodiff import Graph, Tensor
 from .contrastive import ClassBank, predict_batch
 from .data import SHOT_FEW, SHOT_MANY, SHOT_MEDIUM, LongTailedDataset, shot_split
 from .encoders import encode_text, encode_visual
+from .errors import DimensionError
 
 SPLITS = (SHOT_MANY, SHOT_MEDIUM, SHOT_FEW)
 
@@ -96,6 +97,9 @@ def build_class_bank(params, adapter: AdapterParams | None) -> ClassBank:
 def evaluate(params, adapter: AdapterParams | None, dataset: LongTailedDataset,
              tau: float = 1.0) -> Metrics:
     """Zero-shot-rule accuracy of the (optionally adapted) model on the test split."""
+    if params.config.num_classes != dataset.num_classes:
+        raise DimensionError(f"model has {params.config.num_classes} classes, "
+                             f"dataset has {dataset.num_classes}")
     bank = build_class_bank(params, adapter)
     g = Graph()
     x = Tensor(dataset.test_features)

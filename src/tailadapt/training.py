@@ -24,7 +24,7 @@ import numpy as np
 
 from .adapter import PLACEMENTS, AdapterParams, adapted_text, adapted_visual
 from .autodiff import Graph, Tensor
-from .checkpoint import read_arrays, write_arrays
+from .checkpoint import ADAPTER_PREFIX, read_arrays, write_arrays
 from .contrastive import BatchPair, loss_l2v, loss_v2l
 from .data import (
     STRATEGIES,
@@ -135,6 +135,9 @@ class RunConfig:
                 f"balance_sampler must be one of {STRATEGIES}, got {self.balance_sampler!r}")
         if self.epochs_a < 0 or self.epochs_b < 0 or self.warm_start_epochs < 0:
             raise ConfigurationError("epoch counts must be >= 0")
+        if self.warm_start_per_class < 1:
+            raise ConfigurationError(
+                f"warm_start_per_class must be >= 1, got {self.warm_start_per_class}")
         if self.batch_size < 1:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 <= self.lam <= 1.0:
@@ -486,62 +489,58 @@ def save_checkpoint(path, params: ModelParams, adapter: AdapterParams | None = N
     write_arrays(path, arrays)
 
 
-def _require(table: dict, name: str, path) -> np.ndarray:
-    if name not in table:
-        raise CheckpointFormatError(f"{path}: missing array {name!r}")
-    return table[name]
+def _shape_2d(table: dict, name: str, path) -> tuple[int, int]:
+    arr = table.get(name)
+    if arr is None or arr.ndim != 2 or arr.size == 0:
+        raise CheckpointFormatError(f"{path}: {name!r} must be a non-empty 2-d array, "
+                                    f"found {None if arr is None else arr.shape}")
+    return arr.shape
 
 
 def load_checkpoint(path) -> tuple[ModelParams, AdapterParams | None]:
+    """Rebuild the model from its arrays. A few 2-d shapes fix the widths;
+    every array the model names must then be there with exactly its shape."""
     arrays = read_arrays(path)
-    names = [n for n, _ in arrays]
-    if len(set(names)) != len(names):
-        raise CheckpointFormatError(f"{path}: duplicate array names")
     table = dict(arrays)
-
-    def layer_stack(prefix: str) -> list[tuple[Tensor, Tensor]]:
-        layers = []
-        i = 0
-        while f"{prefix}/{i}/weight" in table:
-            layers.append((Tensor(table[f"{prefix}/{i}/weight"]),
-                           Tensor(_require(table, f"{prefix}/{i}/bias", path))))
-            i += 1
-        if not layers:
-            raise CheckpointFormatError(f"{path}: no {prefix} layers")
-        return layers
-
-    visual = layer_stack("visual")
-    text = layer_stack("text")
-    embedding = Tensor(_require(table, "text/class_embedding", path))
-    template = Tensor(_require(table, "text/template_embedding", path))
-    proj_v = Tensor(_require(table, "proj/visual", path))
-    proj_l = Tensor(_require(table, "proj/text", path))
-    config = ModelConfig(
-        input_dim=visual[0][0].shape[0],
-        num_classes=embedding.shape[0],
-        hidden=tuple(w.shape[1] for w, _ in visual[:-1]),
-        visual_dim=visual[-1][0].shape[1],
-        embed_dim=embedding.shape[1],
-        text_dim=text[-1][0].shape[1],
-        shared_dim=proj_v.shape[1],
-    )
-    params = ModelParams(config, visual, text, embedding, template, proj_v, proj_l)
-
+    if len(table) != len(arrays):
+        raise CheckpointFormatError(f"{path}: duplicate array names")
+    depth = 1
+    while f"visual/{depth}/weight" in table:
+        depth += 1
+    visual = [_shape_2d(table, f"visual/{i}/weight", path) for i in range(depth)]
+    num_classes, embed_dim = _shape_2d(table, "text/class_embedding", path)
+    visual_dim, shared_dim = _shape_2d(table, "proj/visual", path)
+    text_dim = _shape_2d(table, f"text/{depth - 1}/weight", path)[1]
+    config = ModelConfig(input_dim=visual[0][0], num_classes=num_classes,
+                         hidden=tuple(w for _, w in visual[:-1]), visual_dim=visual_dim,
+                         embed_dim=embed_dim, text_dim=text_dim, shared_dim=shared_dim)
+    # refuse widths that imply a layout larger than the file before allocating it
+    floats = sum(arr.size for arr in table.values())
+    has_adapter = any(name.startswith(ADAPTER_PREFIX) for name in table)
+    if config.parameter_count() + has_adapter * shared_dim ** 2 > floats:
+        raise CheckpointFormatError(f"{path}: the widths in {config} need more values "
+                                    f"than the file's {floats}")
+    params = ModelParams.init(config, 0)  # the layout; every value is replaced
+    named = params.named_parameters()
     adapter = None
-    if "adapter/lambda" in table:
-        code = float(_require(table, "adapter/placement_code", path)[0])
-        if code not in _CODE_PLACEMENTS:
-            raise CheckpointFormatError(f"{path}: unknown placement code {code}")
-        placement = _CODE_PLACEMENTS[code]
-        lam = float(table["adapter/lambda"][0])
-        kwargs = {}
-        if placement in ("visual", "both"):
-            kwargs["visual_weight"] = Tensor(_require(table, "adapter/visual/weight", path))
-            kwargs["visual_bias"] = Tensor(_require(table, "adapter/visual/bias", path))
-        if placement in ("language", "both"):
-            kwargs["language_weight"] = Tensor(_require(table, "adapter/language/weight", path))
-            kwargs["language_bias"] = Tensor(_require(table, "adapter/language/bias", path))
-        adapter = AdapterParams(lam, placement, **kwargs)
+    if has_adapter:
+        lam, code = (table.pop(name, np.empty(0))
+                     for name in ("adapter/lambda", "adapter/placement_code"))
+        if (lam.shape != (1,) or code.shape != (1,) or not 0.0 <= lam[0] <= 1.0
+                or code[0] not in _CODE_PLACEMENTS):
+            raise CheckpointFormatError(f"{path}: adapter/lambda and adapter/placement_code "
+                                        f"must hold one valid value each, found {lam}, {code}")
+        adapter = AdapterParams.init(shared_dim, float(lam[0]), _CODE_PLACEMENTS[code[0]], 0)
+        named += adapter.named_parameters()
+    for name, tensor in named:
+        arr = table.pop(name, None)
+        if arr is None or arr.shape != tensor.shape:
+            raise CheckpointFormatError(
+                f"{path}: array {name!r} should have shape {tensor.shape}, "
+                f"found {None if arr is None else arr.shape}")
+        tensor.data = arr
+    if table:
+        raise CheckpointFormatError(f"{path}: unknown arrays {sorted(table)}")
     return params, adapter
 
 

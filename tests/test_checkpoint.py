@@ -49,6 +49,24 @@ def test_empty_checkpoint_round_trips(tmp_path):
     assert read_arrays(path) == []
 
 
+def test_zero_d_array_keeps_its_shape(tmp_path):
+    path = tmp_path / "s.ltck"
+    write_arrays(path, [("scalar", np.array(2.5))])
+    [(name, arr)] = read_arrays(path)
+    assert name == "scalar" and arr.shape == () and arr == 2.5
+
+
+def test_rank_past_numpy_limit_reports_offset(tmp_path):
+    import struct
+    rank = 70
+    path = tmp_path / "r.ltck"
+    path.write_bytes(b"LTCK" + struct.pack("<IIH", 1, 1, 1) + b"a"
+                     + struct.pack(f"<B{rank}Q", rank, *[1] * rank) + b"\x00" * 8)
+    rank_at = 4 + 4 + 4 + 2 + 1  # magic, version, count, name length, name
+    with pytest.raises(CheckpointFormatError, match=f"rank {rank} at byte {rank_at}"):
+        read_arrays(path)
+
+
 def test_bad_magic_and_version(tmp_path):
     path = tmp_path / "bad.ltck"
     path.write_bytes(b"XXXX" + b"\x00" * 8)

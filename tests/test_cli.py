@@ -52,6 +52,14 @@ def test_gen_data_pareto_kind(tmp_path, capsys):
     assert all(a >= b for a, b in zip(ds.class_counts, ds.class_counts[1:]))
 
 
+@pytest.mark.parametrize("dim", ["0", "-1"])
+def test_gen_data_rejects_non_positive_dim(tmp_path, capsys, dim):
+    rc = main(["gen-data", "--kind", "pareto", "--dim", dim,
+               "--out", str(tmp_path / "d.ltds")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_train_eval_flow(tmp_path, capsys):
     data = _gen(tmp_path, capsys)
     cfg_path, cfg = _config_file(tmp_path, data)
@@ -155,6 +163,31 @@ def test_eval_bad_checkpoint_name_is_a_diagnostic_failure(tmp_path, capsys):
     blob[name_at:name_at + 2] = b"\xff\xfe"
     path.write_bytes(bytes(blob))
     rc = main(["eval", "--checkpoint", str(path), "--data", str(data)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
+def test_eval_rejects_dataset_with_other_class_count(tmp_path, capsys):
+    data = _gen(tmp_path, capsys, classes=3)
+    cfg_path, cfg = _config_file(tmp_path, data)
+    assert main(["train", "--config", str(cfg_path), "--mode", "phase_a_only"]) == 0
+    (tmp_path / "five").mkdir()
+    five = _gen(tmp_path / "five", capsys, classes=5)
+    rc = main(["eval", "--checkpoint", cfg["checkpoint_path"], "--data", str(five)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error:") and "classes" in captured.err
+
+
+@pytest.mark.parametrize("extra", [
+    {"warm_start": True, "warm_start_per_class": -1},
+    {"dataset": {"kind": "exponential", "feature_dim": -2}},
+], ids=["warm-start-per-class", "feature-dim"])
+def test_train_rejects_negative_sizes(tmp_path, capsys, extra):
+    data = _gen(tmp_path, capsys)
+    cfg_path, _ = _config_file(tmp_path, data, **extra)
+    rc = main(["train", "--config", str(cfg_path)])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.err.startswith("error:") and "Traceback" not in captured.err

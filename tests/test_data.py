@@ -337,8 +337,29 @@ def test_huge_row_count_rejected_before_allocating(tmp_path, n_total):
         read_dataset(path)
 
 
+def test_header_without_rows_rejected(tmp_path):
+    # zero rows leave the width unchecked by the length; no row dtype holds 2^32 - 1
+    import struct as _struct
+    path = tmp_path / "empty.ltds"
+    path.write_bytes(b"LTDS" + _struct.pack("<IQII", 1, 0, 2 ** 32 - 1, 1)
+                     + _struct.pack("<QQ", 0, 0))
+    with pytest.raises(DatasetFormatError, match="no rows"):
+        read_dataset(path)
+
+
 def test_in_memory_count_validation():
     feats = np.zeros((5, 2))
     labels = np.array([0, 0, 1, 0, 1])
     with pytest.raises(ConfigurationError):
         LongTailedDataset(feats, labels, np.array([3, 2]), test_per_class=1)
+
+
+@pytest.mark.parametrize("labels", [
+    [0, 0, -1, 0, 1],  # negative train label
+    [0, 0, 1, 0, 2],  # test label past the class count
+    [0, 0, 1, 1, 1],  # test split not one row per class
+], ids=["negative", "test-label-too-large", "test-unbalanced"])
+def test_in_memory_label_invariants(labels):
+    with pytest.raises(ConfigurationError):
+        LongTailedDataset(np.zeros((5, 2)), np.array(labels), np.array([2, 1]),
+                          test_per_class=1)

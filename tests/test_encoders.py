@@ -187,3 +187,11 @@ def test_digest_ignores_adapter_prefix_only_in_backbone_digest():
     with_adapter = arrays + [("adapter/visual/weight", np.ones((3, 3)))]
     assert backbone_digest(with_adapter) == digest_arrays(arrays)
     assert digest_arrays(with_adapter) != digest_arrays(arrays)
+
+
+@pytest.mark.parametrize("hidden", [(), (5,), (4, 6, 3)])
+def test_parameter_count_matches_init(hidden):
+    config = ModelConfig(hidden=hidden, visual_dim=7, embed_dim=3, text_dim=9,
+                         shared_dim=2).bound(11, 13)
+    params = ModelParams.init(config, 0)
+    assert config.parameter_count() == sum(t.size for _, t in params.named_parameters())

@@ -17,22 +17,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Graph, Tensor
-from .encoders import text_features, visual_features
+from .checkpoint import ADAPTER_PREFIX
+from .encoders import init_array, text_features, visual_features
 from .errors import ConfigurationError
 
 PLACEMENTS = ("visual", "language", "both")
 
 
+def _branches(placement: str) -> tuple[str, ...]:
+    return ("visual", "language") if placement == "both" else (placement,)
+
+
 @dataclass
 class AdapterParams:
-    """Per-branch residual maps plus the blend weight."""
+    """Per-branch residual maps, keyed by checkpoint name in layout order,
+    plus the blend weight."""
 
     lam: float
     placement: str
-    visual_weight: Tensor | None = None
-    visual_bias: Tensor | None = None
-    language_weight: Tensor | None = None
-    language_bias: Tensor | None = None
+    tensors: dict[str, Tensor]
 
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
@@ -40,10 +43,6 @@ class AdapterParams:
         if self.placement not in PLACEMENTS:
             raise ConfigurationError(
                 f"placement must be one of {PLACEMENTS}, got {self.placement!r}")
-        if self.adapts_visual and self.visual_weight is None:
-            raise ConfigurationError("visual placement needs visual weights")
-        if self.adapts_language and self.language_weight is None:
-            raise ConfigurationError("language placement needs language weights")
 
     @property
     def adapts_visual(self) -> bool:
@@ -53,35 +52,31 @@ class AdapterParams:
     def adapts_language(self) -> bool:
         return self.placement in ("language", "both")
 
+    @staticmethod
+    def layout(dim: int, placement: str) -> dict[str, tuple[int, ...]]:
+        """Every adapter tensor's checkpoint name and shape, in checkpoint order."""
+        out = {}
+        for branch in _branches(placement):
+            out[f"{ADAPTER_PREFIX}{branch}/weight"] = (dim, dim)
+            out[f"{ADAPTER_PREFIX}{branch}/bias"] = (dim,)
+        return out
+
     @classmethod
     def init(cls, dim: int, lam: float, placement: str,
              seed: int | np.random.Generator) -> "AdapterParams":
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        bound = 1.0 / np.sqrt(dim)
+        return cls(lam, placement, {name: Tensor(init_array(rng, shape, dim))
+                                    for name, shape in cls.layout(dim, placement).items()})
 
-        def branch():
-            return (Tensor(rng.uniform(-bound, bound, size=(dim, dim))),
-                    Tensor(np.zeros(dim)))
-
-        vw = vb = lw = lb = None
-        if placement in ("visual", "both"):
-            vw, vb = branch()
-        if placement in ("language", "both"):
-            lw, lb = branch()
-        return cls(lam, placement, vw, vb, lw, lb)
+    def branch(self, name: str) -> tuple[Tensor, Tensor]:
+        """(weight, bias) of the "visual" or "language" adapter."""
+        if name not in _branches(self.placement):
+            raise ConfigurationError(f"placement {self.placement!r} has no {name} adapter")
+        return (self.tensors[f"{ADAPTER_PREFIX}{name}/weight"],
+                self.tensors[f"{ADAPTER_PREFIX}{name}/bias"])
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out = []
-        if self.visual_weight is not None:
-            out.append(("adapter/visual/weight", self.visual_weight))
-            out.append(("adapter/visual/bias", self.visual_bias))
-        if self.language_weight is not None:
-            out.append(("adapter/language/weight", self.language_weight))
-            out.append(("adapter/language/bias", self.language_bias))
-        return out
-
-    def parameter_count(self) -> int:
-        return sum(t.size for _, t in self.named_parameters())
+        return list(self.tensors.items())
 
 
 def adapt(g: Graph, f: Tensor, weight: Tensor, bias: Tensor, lam: float) -> Tensor:
@@ -94,19 +89,13 @@ def adapt(g: Graph, f: Tensor, weight: Tensor, bias: Tensor, lam: float) -> Tens
 
 def adapted_visual(g: Graph, params, adapter: AdapterParams, x: Tensor) -> Tensor:
     """Visual embedding with the residual blend applied before normalization."""
-    if not adapter.adapts_visual:
-        raise ConfigurationError(
-            f"placement {adapter.placement!r} has no visual adapter")
+    weight, bias = adapter.branch("visual")
     f = visual_features(g, params, x)
-    return g.l2_normalize(adapt(g, f, adapter.visual_weight, adapter.visual_bias,
-                                adapter.lam))
+    return g.l2_normalize(adapt(g, f, weight, bias, adapter.lam))
 
 
 def adapted_text(g: Graph, params, adapter: AdapterParams, class_ids) -> Tensor:
     """Text embedding with the residual blend applied before normalization."""
-    if not adapter.adapts_language:
-        raise ConfigurationError(
-            f"placement {adapter.placement!r} has no language adapter")
+    weight, bias = adapter.branch("language")
     f = text_features(g, params, class_ids)
-    return g.l2_normalize(adapt(g, f, adapter.language_weight, adapter.language_bias,
-                                adapter.lam))
+    return g.l2_normalize(adapt(g, f, weight, bias, adapter.lam))

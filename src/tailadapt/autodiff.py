@@ -31,6 +31,12 @@ from .errors import (
 NORM_FLOOR = 1e-12
 
 
+def check_temperature(tau: float) -> None:
+    """A temperature is a finite number above zero; NaN fails the compare."""
+    if not 0.0 < tau < np.inf:
+        raise InvalidTemperatureError(f"temperature must be finite and > 0, got {tau}")
+
+
 class Tensor:
     """Dense float64 array plus an optional gradient buffer of equal shape.
 
@@ -38,15 +44,14 @@ class Tensor:
     optimizer refuses to update them and the underlying array is read-only.
     """
 
-    __slots__ = ("data", "grad", "name", "frozen")
+    __slots__ = ("data", "grad", "frozen")
 
-    def __init__(self, data, name: str | None = None, frozen: bool = False):
+    def __init__(self, data, frozen: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         if not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)
         self.data = arr
         self.grad: np.ndarray | None = None
-        self.name = name
         self.frozen = frozen
 
     @property
@@ -57,12 +62,8 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy(), name=self.name)
-
     def __repr__(self) -> str:
-        tag = f" {self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}{tag})"
+        return f"Tensor(shape={self.data.shape})"
 
 
 @dataclass
@@ -111,9 +112,6 @@ class Graph:
 
     def __len__(self) -> int:
         return len(self._nodes)
-
-    def ops(self) -> list[str]:
-        return [n.op for n in self._nodes]
 
     def _record(self, op: str, inputs: tuple[Tensor, ...], out: Tensor,
                 backward: Callable[[np.ndarray], None]) -> Tensor:
@@ -170,8 +168,7 @@ class Graph:
 
     def similarity_matrix(self, v: Tensor, u: Tensor, tau: float) -> Tensor:
         """out[i, j] = (v_i . u_j) / tau. Inputs are expected row-normalized."""
-        if tau <= 0.0:
-            raise InvalidTemperatureError(f"temperature must be > 0, got {tau}")
+        check_temperature(tau)
         if v.data.ndim != 2 or u.data.ndim != 2 or v.shape[1] != u.shape[1]:
             raise DimensionError(
                 f"similarity_matrix expects matching widths, got {v.shape} and {u.shape}")

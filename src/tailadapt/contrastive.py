@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Graph, Tensor
-from .errors import DimensionError, InvalidTemperatureError
+from .autodiff import Graph, Tensor, check_temperature
+from .errors import DimensionError
 
 
 @dataclass
@@ -30,8 +30,7 @@ class BatchPair:
     tau: float
 
     def __post_init__(self):
-        if self.tau <= 0.0:
-            raise InvalidTemperatureError(f"temperature must be > 0, got {self.tau}")
+        check_temperature(self.tau)
         if self.v.shape != self.u.shape or self.v.data.ndim != 2:
             raise DimensionError(
                 f"batch pair needs matching 2-d shapes, got {self.v.shape} and {self.u.shape}")
@@ -73,8 +72,7 @@ def _as_matrix(v) -> np.ndarray:
 
 def zero_shot_probs(v, bank: ClassBank, tau: float) -> np.ndarray:
     """softmax over (v . u_k) / tau across the bank; stabilized by max shift."""
-    if tau <= 0.0:
-        raise InvalidTemperatureError(f"temperature must be > 0, got {tau}")
+    check_temperature(tau)
     vec = _as_matrix(v)
     if vec.ndim != 1 or vec.shape[0] != bank.embeddings.shape[1]:
         raise DimensionError(
@@ -99,7 +97,6 @@ def predict_batch(v_rows, bank: ClassBank, tau: float = 1.0) -> np.ndarray:
     if mat.ndim != 2 or mat.shape[1] != bank.embeddings.shape[1]:
         raise DimensionError(
             f"queries of shape {mat.shape} vs bank width {bank.embeddings.shape[1]}")
-    if tau <= 0.0:
-        raise InvalidTemperatureError(f"temperature must be > 0, got {tau}")
+    check_temperature(tau)
     scores = mat @ bank.embeddings.T  # monotone in the probabilities
     return bank.class_ids[np.argmax(scores, axis=1)]

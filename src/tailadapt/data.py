@@ -54,7 +54,7 @@ def exponential_counts(num_classes: int, n_max: int, rho: float) -> np.ndarray:
         raise ConfigurationError(f"need at least 2 classes, got {num_classes}")
     if n_max < 1:
         raise ConfigurationError(f"n_max must be >= 1, got {n_max}")
-    if rho < 1.0:
+    if not rho >= 1.0:
         raise InvalidRatioError(f"imbalance ratio must be >= 1, got {rho}")
     j = np.arange(num_classes, dtype=np.float64)
     raw = n_max * rho ** (-j / (num_classes - 1))
@@ -70,7 +70,7 @@ def pareto_counts(num_classes: int, n_max: int, alpha: float) -> np.ndarray:
         raise ConfigurationError(f"need at least 2 classes, got {num_classes}")
     if n_max < 1:
         raise ConfigurationError(f"n_max must be >= 1, got {n_max}")
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise InvalidPowerError(f"power must be > 0, got {alpha}")
     j = np.arange(1, num_classes + 1, dtype=np.float64)
     raw = n_max * j ** (-1.0 / alpha)
@@ -197,8 +197,8 @@ def sample_clusters(means: np.ndarray, counts: np.ndarray, test_per_class: int,
 
 def _synth_from_counts(counts: np.ndarray, feature_dim: int, seed: int,
                        sigma: float, test_per_class: int) -> LongTailedDataset:
-    if sigma < 0.0:
-        raise ConfigurationError(f"sigma must be >= 0, got {sigma}")
+    if not 0.0 <= sigma < np.inf:
+        raise ConfigurationError(f"sigma must be finite and >= 0, got {sigma}")
     if test_per_class < 1:
         raise ConfigurationError(f"test_per_class must be >= 1, got {test_per_class}")
     if feature_dim < 1:

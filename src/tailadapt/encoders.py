@@ -60,99 +60,105 @@ class ModelConfig:
         if any(int(d) <= 0 for d in dims):
             raise ConfigurationError(f"model dims must be positive, got {self}")
 
-    def parameter_count(self) -> int:
-        """Floats in ModelParams.init(self), counted without allocating them."""
-        stacks = ((self.input_dim, *self.hidden, self.visual_dim),
-                  (self.embed_dim, *self.hidden, self.text_dim))
-        return (sum(a * b + b for dims in stacks for a, b in zip(dims, dims[1:]))
-                + (self.num_classes + 1) * self.embed_dim
-                + (self.visual_dim + self.text_dim) * self.shared_dim)
+    def layout(self) -> dict[str, tuple[int, ...]]:
+        """Every backbone tensor's checkpoint name and shape, in checkpoint order."""
+
+        def stack(branch: str, width_in: int, width_out: int) -> dict:
+            dims = (width_in, *self.hidden, width_out)
+            out = {}
+            for i, (a, b) in enumerate(zip(dims, dims[1:])):
+                out[f"{branch}/{i}/weight"] = (a, b)
+                out[f"{branch}/{i}/bias"] = (b,)
+            return out
+
+        return {
+            **stack("visual", self.input_dim, self.visual_dim),
+            "text/class_embedding": (self.num_classes, self.embed_dim),
+            "text/template_embedding": (1, self.embed_dim),  # added to every class row
+            **stack("text", self.embed_dim, self.text_dim),
+            "proj/visual": (self.visual_dim, self.shared_dim),
+            "proj/text": (self.text_dim, self.shared_dim),
+        }
+
+    @classmethod
+    def from_shapes(cls, shapes: dict[str, tuple[int, ...]]) -> "ModelConfig":
+        """The widths read off a few of the shapes layout() would give.
+
+        A missing or non-2-d array reads as width 0. Nothing is checked here:
+        compare every shape against the result's layout(), then validate().
+        """
+
+        def dims(name: str) -> tuple[int, ...]:
+            shape = shapes.get(name, ())
+            return shape if len(shape) == 2 else (0, 0)
+
+        depth = 1
+        while f"visual/{depth}/weight" in shapes:
+            depth += 1
+        visual = [dims(f"visual/{i}/weight") for i in range(depth)]
+        num_classes, embed_dim = dims("text/class_embedding")
+        visual_dim, shared_dim = dims("proj/visual")
+        return cls(input_dim=visual[0][0], num_classes=num_classes,
+                   hidden=tuple(w for _, w in visual[:-1]), visual_dim=visual_dim,
+                   embed_dim=embed_dim, text_dim=dims(f"text/{depth - 1}/weight")[1],
+                   shared_dim=shared_dim)
 
 
-def _uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
+_EMBEDDINGS = ("text/class_embedding", "text/template_embedding")
+
+
+def _draw_rank(name: str) -> int:
+    """init draws both stacks, then the embeddings, then the projections."""
+    return 1 if name in _EMBEDDINGS else 2 if name.startswith("proj/") else 0
+
+
+def init_array(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
+    """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) for a weight, zeros for a bias."""
+    if len(shape) == 1:
+        return np.zeros(shape)
     bound = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape)
 
 
 @dataclass
 class ModelParams:
-    """All trainable backbone tensors, with stable names for persistence."""
+    """All trainable backbone tensors, keyed by checkpoint name in layout order."""
 
     config: ModelConfig
-    visual_layers: list[tuple[Tensor, Tensor]]
-    text_layers: list[tuple[Tensor, Tensor]]
-    text_embedding: Tensor
-    template_embedding: Tensor  # row 0 is added to every class embedding
-    proj_visual: Tensor
-    proj_text: Tensor
+    tensors: dict[str, Tensor]
 
     @classmethod
     def init(cls, config: ModelConfig, seed: int | np.random.Generator) -> "ModelParams":
-        """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, zero biases."""
+        """Uniform weights and embeddings, zero biases (see init_array). Fan-in
+        is a weight's row count and an embedding's width."""
         config.validate()
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        layout = config.layout()
+        drawn = {}
+        for name in sorted(layout, key=_draw_rank):
+            shape = layout[name]
+            drawn[name] = init_array(rng, shape, shape[1] if name in _EMBEDDINGS else shape[0])
+        return cls(config, {name: Tensor(drawn[name]) for name in layout})
 
-        def stack(width_in: int, width_out: int) -> list[tuple[Tensor, Tensor]]:
-            layers = []
-            prev = width_in
-            for width in (*config.hidden, width_out):
-                layers.append((Tensor(_uniform(rng, prev, (prev, width))),
-                               Tensor(np.zeros(width))))
-                prev = width
-            return layers
-
-        visual = stack(config.input_dim, config.visual_dim)
-        text = stack(config.embed_dim, config.text_dim)
-        text_embedding = Tensor(_uniform(rng, config.embed_dim,
-                                         (config.num_classes, config.embed_dim)))
-        template = Tensor(_uniform(rng, config.embed_dim,
-                                   (1, config.embed_dim)))
-        proj_v = Tensor(_uniform(rng, config.visual_dim,
-                                 (config.visual_dim, config.shared_dim)))
-        proj_l = Tensor(_uniform(rng, config.text_dim,
-                                 (config.text_dim, config.shared_dim)))
-        return cls(config, visual, text, text_embedding, template, proj_v, proj_l)
+    def layers(self, branch: str) -> list[tuple[Tensor, Tensor]]:
+        """(weight, bias) of each affine layer of the "visual" or "text" stack."""
+        return [(self.tensors[f"{branch}/{i}/weight"], self.tensors[f"{branch}/{i}/bias"])
+                for i in range(len(self.config.hidden) + 1)]
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out: list[tuple[str, Tensor]] = []
-        for i, (w, b) in enumerate(self.visual_layers):
-            out.append((f"visual/{i}/weight", w))
-            out.append((f"visual/{i}/bias", b))
-        out.append(("text/class_embedding", self.text_embedding))
-        out.append(("text/template_embedding", self.template_embedding))
-        for i, (w, b) in enumerate(self.text_layers):
-            out.append((f"text/{i}/weight", w))
-            out.append((f"text/{i}/bias", b))
-        out.append(("proj/visual", self.proj_visual))
-        out.append(("proj/text", self.proj_text))
-        return out
+        return list(self.tensors.items())
 
     def named_arrays(self) -> list[tuple[str, np.ndarray]]:
-        return [(name, t.data) for name, t in self.named_parameters()]
+        return [(name, t.data) for name, t in self.tensors.items()]
 
     def digest(self) -> str:
         return digest_arrays(self.named_arrays())
-
-    def map_tensors(self, fn) -> "ModelParams":
-        """The same layout with every tensor replaced by fn(tensor)."""
-        return ModelParams(
-            self.config,
-            [(fn(w), fn(b)) for w, b in self.visual_layers],
-            [(fn(w), fn(b)) for w, b in self.text_layers],
-            fn(self.text_embedding),
-            fn(self.template_embedding),
-            fn(self.proj_visual),
-            fn(self.proj_text),
-        )
-
-    def copy(self) -> "ModelParams":
-        return self.map_tensors(Tensor.copy)
 
 
 def _lock(t: Tensor) -> Tensor:
     view = t.data.view()
     view.flags.writeable = False  # shares storage, rejects writes
-    return Tensor(view, name=t.name, frozen=True)
+    return Tensor(view, frozen=True)
 
 
 class FrozenView(ModelParams):
@@ -165,7 +171,7 @@ class FrozenView(ModelParams):
     """
 
     def __init__(self, params: ModelParams):
-        super().__init__(**vars(params.map_tensors(_lock)))
+        super().__init__(params.config, {name: _lock(t) for name, t in params.tensors.items()})
         self.digest = digest_arrays(params.named_arrays())
 
     def verify(self) -> bool:
@@ -197,7 +203,7 @@ def visual_features(g: Graph, params, x: Tensor) -> Tensor:
     if x.data.ndim != 2 or x.shape[1] != params.config.input_dim:
         raise DimensionError(
             f"expected input of width {params.config.input_dim}, got {x.shape}")
-    return _project(g, _mlp(g, params.visual_layers, x), params.proj_visual)
+    return _project(g, _mlp(g, params.layers("visual"), x), params.tensors["proj/visual"])
 
 
 def text_features(g: Graph, params, class_ids) -> Tensor:
@@ -210,10 +216,11 @@ def text_features(g: Graph, params, class_ids) -> Tensor:
     bad = ids[(ids < 0) | (ids >= k_max)]
     if bad.size:
         raise ClassIndexError(f"class id {int(bad[0])} outside [0, {k_max})")
-    cls_rows = g.gather(params.text_embedding, ids)
-    tmpl_rows = g.gather(params.template_embedding, np.zeros(len(ids), dtype=np.int64))
-    h = _mlp(g, params.text_layers, g.add(cls_rows, tmpl_rows))
-    return _project(g, h, params.proj_text)
+    cls_rows = g.gather(params.tensors["text/class_embedding"], ids)
+    tmpl_rows = g.gather(params.tensors["text/template_embedding"],
+                         np.zeros(len(ids), dtype=np.int64))
+    h = _mlp(g, params.layers("text"), g.add(cls_rows, tmpl_rows))
+    return _project(g, h, params.tensors["proj/text"])
 
 
 def encode_visual(g: Graph, params, x: Tensor) -> Tensor:

@@ -142,9 +142,9 @@ class RunConfig:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigurationError(f"lambda must be in [0, 1], got {self.lam}")
-        if self.tau <= 0.0:
-            raise ConfigurationError(f"tau must be > 0, got {self.tau}")
-        if self.lr_backbone < 0 or self.lr_adapter < 0:
+        if not 0.0 < self.tau < math.inf:
+            raise ConfigurationError(f"tau must be finite and > 0, got {self.tau}")
+        if not (self.lr_backbone >= 0 and self.lr_adapter >= 0):
             raise ConfigurationError("learning rates must be >= 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigurationError(f"momentum must be in [0, 1), got {self.momentum}")
@@ -241,7 +241,7 @@ def sgd_momentum_step(named_params, grads: dict[str, np.ndarray],
         if g.shape != t.data.shape:
             raise DimensionError(
                 f"gradient shape {g.shape} vs parameter {name!r} shape {t.data.shape}")
-        v = state.velocity.setdefault(name, np.zeros_like(t.data))
+        v = state.velocity[name]
         v *= momentum
         v += g
         t.data -= lr * v
@@ -489,58 +489,43 @@ def save_checkpoint(path, params: ModelParams, adapter: AdapterParams | None = N
     write_arrays(path, arrays)
 
 
-def _shape_2d(table: dict, name: str, path) -> tuple[int, int]:
-    arr = table.get(name)
-    if arr is None or arr.ndim != 2 or arr.size == 0:
-        raise CheckpointFormatError(f"{path}: {name!r} must be a non-empty 2-d array, "
-                                    f"found {None if arr is None else arr.shape}")
-    return arr.shape
-
-
 def load_checkpoint(path) -> tuple[ModelParams, AdapterParams | None]:
-    """Rebuild the model from its arrays. A few 2-d shapes fix the widths;
-    every array the model names must then be there with exactly its shape."""
+    """Rebuild the model around the file's own arrays. ModelConfig.from_shapes
+    reads the widths off the shapes; every array must then match the layout
+    those widths give, so nothing is allocated beyond what the file holds."""
     arrays = read_arrays(path)
     table = dict(arrays)
     if len(table) != len(arrays):
         raise CheckpointFormatError(f"{path}: duplicate array names")
-    depth = 1
-    while f"visual/{depth}/weight" in table:
-        depth += 1
-    visual = [_shape_2d(table, f"visual/{i}/weight", path) for i in range(depth)]
-    num_classes, embed_dim = _shape_2d(table, "text/class_embedding", path)
-    visual_dim, shared_dim = _shape_2d(table, "proj/visual", path)
-    text_dim = _shape_2d(table, f"text/{depth - 1}/weight", path)[1]
-    config = ModelConfig(input_dim=visual[0][0], num_classes=num_classes,
-                         hidden=tuple(w for _, w in visual[:-1]), visual_dim=visual_dim,
-                         embed_dim=embed_dim, text_dim=text_dim, shared_dim=shared_dim)
-    # refuse widths that imply a layout larger than the file before allocating it
-    floats = sum(arr.size for arr in table.values())
-    has_adapter = any(name.startswith(ADAPTER_PREFIX) for name in table)
-    if config.parameter_count() + has_adapter * shared_dim ** 2 > floats:
-        raise CheckpointFormatError(f"{path}: the widths in {config} need more values "
-                                    f"than the file's {floats}")
-    params = ModelParams.init(config, 0)  # the layout; every value is replaced
-    named = params.named_parameters()
-    adapter = None
-    if has_adapter:
+    config = ModelConfig.from_shapes({name: arr.shape for name, arr in table.items()})
+    layout = config.layout()
+    adapter_layout, placement = {}, None
+    if any(name.startswith(ADAPTER_PREFIX) for name in table):
         lam, code = (table.pop(name, np.empty(0))
                      for name in ("adapter/lambda", "adapter/placement_code"))
         if (lam.shape != (1,) or code.shape != (1,) or not 0.0 <= lam[0] <= 1.0
                 or code[0] not in _CODE_PLACEMENTS):
             raise CheckpointFormatError(f"{path}: adapter/lambda and adapter/placement_code "
                                         f"must hold one valid value each, found {lam}, {code}")
-        adapter = AdapterParams.init(shared_dim, float(lam[0]), _CODE_PLACEMENTS[code[0]], 0)
-        named += adapter.named_parameters()
-    for name, tensor in named:
-        arr = table.pop(name, None)
-        if arr is None or arr.shape != tensor.shape:
+        placement = _CODE_PLACEMENTS[code[0]]
+        adapter_layout = AdapterParams.layout(config.shared_dim, placement)
+    expected = layout | adapter_layout
+    for name, shape in expected.items():
+        arr = table.get(name)
+        if arr is None or arr.shape != shape:
             raise CheckpointFormatError(
-                f"{path}: array {name!r} should have shape {tensor.shape}, "
+                f"{path}: array {name!r} should have shape {shape}, "
                 f"found {None if arr is None else arr.shape}")
-        tensor.data = arr
-    if table:
-        raise CheckpointFormatError(f"{path}: unknown arrays {sorted(table)}")
+    unknown = table.keys() - expected.keys()
+    if unknown:
+        raise CheckpointFormatError(f"{path}: unknown arrays {sorted(unknown)}")
+    try:
+        config.validate()
+    except ConfigurationError as exc:
+        raise CheckpointFormatError(f"{path}: {exc}") from exc
+    params = ModelParams(config, {name: Tensor(table[name]) for name in layout})
+    adapter = None if placement is None else AdapterParams(
+        float(lam[0]), placement, {name: Tensor(table[name]) for name in adapter_layout})
     return params, adapter
 
 

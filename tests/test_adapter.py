@@ -108,12 +108,12 @@ def test_placement_mismatch_rejected():
 
 def test_parameter_counts_per_placement():
     d = 7
-    assert AdapterParams.init(d, 0.2, "visual", 0).parameter_count() == d * d + d
-    assert AdapterParams.init(d, 0.2, "language", 0).parameter_count() == d * d + d
+    for placement, branches in (("visual", 1), ("language", 1), ("both", 2)):
+        adapter = AdapterParams.init(d, 0.2, placement, 0)
+        assert sum(t.size for _, t in adapter.named_parameters()) == branches * (d * d + d)
     # independent adapters per branch
     both = AdapterParams.init(d, 0.2, "both", 0)
-    assert both.parameter_count() == 2 * (d * d + d)
-    assert not np.array_equal(both.visual_weight.data, both.language_weight.data)
+    assert not np.array_equal(both.branch("visual")[0].data, both.branch("language")[0].data)
 
 
 def test_adapter_names_carry_prefix():
@@ -138,10 +138,11 @@ def test_gradients_flow_to_adapter_and_residual_branch():
     g.backward(loss, params=adapter_tensors + backbone_tensors)
 
     # adapter gets gradient
-    assert np.any(adapter.visual_weight.grad != 0.0)
-    assert np.any(adapter.visual_bias.grad != 0.0)
+    weight, bias = adapter.branch("visual")
+    assert np.any(weight.grad != 0.0)
+    assert np.any(bias.grad != 0.0)
     # the residual branch still routes gradient into the (frozen) backbone
-    assert np.any(frozen.proj_visual.grad != 0.0)
+    assert np.any(frozen.tensors["proj/visual"].grad != 0.0)
     # the frozen values themselves are untouched
     assert frozen.verify()
 
@@ -150,6 +151,6 @@ def test_adapter_init_seeded():
     a = AdapterParams.init(5, 0.2, "visual", seed=9)
     b = AdapterParams.init(5, 0.2, "visual", seed=9)
     c = AdapterParams.init(5, 0.2, "visual", seed=10)
-    assert np.array_equal(a.visual_weight.data, b.visual_weight.data)
-    assert not np.array_equal(a.visual_weight.data, c.visual_weight.data)
-    assert np.array_equal(a.visual_bias.data, np.zeros(5))
+    assert np.array_equal(a.branch("visual")[0].data, b.branch("visual")[0].data)
+    assert not np.array_equal(a.branch("visual")[0].data, c.branch("visual")[0].data)
+    assert np.array_equal(a.branch("visual")[1].data, np.zeros(5))

@@ -60,6 +60,20 @@ def test_gen_data_rejects_non_positive_dim(tmp_path, capsys, dim):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("flags", [["--kind", "exp", "--rho", "nan"],
+                                   ["--kind", "pareto", "--alpha", "nan"],
+                                   ["--kind", "exp", "--sigma", "nan"],
+                                   ["--kind", "exp", "--sigma", "inf"]],
+                         ids=["rho-nan", "alpha-nan", "sigma-nan", "sigma-inf"])
+def test_gen_data_rejects_non_finite_parameters(tmp_path, capsys, flags):
+    out = tmp_path / "d.ltds"
+    rc = main(["gen-data", *flags, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert not out.exists()
+
+
 def test_train_eval_flow(tmp_path, capsys):
     data = _gen(tmp_path, capsys)
     cfg_path, cfg = _config_file(tmp_path, data)
@@ -178,6 +192,19 @@ def test_eval_rejects_dataset_with_other_class_count(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.err.startswith("error:") and "classes" in captured.err
+
+
+@pytest.mark.parametrize("tau", ["nan", "inf"])
+def test_eval_rejects_non_finite_tau(tmp_path, capsys, tau):
+    data = _gen(tmp_path, capsys)
+    cfg_path, cfg = _config_file(tmp_path, data)
+    assert main(["train", "--config", str(cfg_path), "--mode", "phase_a_only"]) == 0
+    capsys.readouterr()
+    rc = main(["eval", "--checkpoint", cfg["checkpoint_path"], "--data", str(data),
+               "--tau", tau])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error:") and "temperature" in captured.err
 
 
 @pytest.mark.parametrize("extra", [

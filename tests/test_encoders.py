@@ -23,16 +23,13 @@ def identity_params(dim=2, num_classes=3, embedding=None):
                          visual_dim=dim, embed_dim=dim, text_dim=dim,
                          shared_dim=dim)
     params = ModelParams.init(config, seed=0)
-    eye = np.eye(dim)
-    params.visual_layers[0][0].data[:] = eye
-    params.visual_layers[0][1].data[:] = 0.0
-    params.text_layers[0][0].data[:] = eye
-    params.text_layers[0][1].data[:] = 0.0
-    params.proj_visual.data[:] = eye
-    params.proj_text.data[:] = eye
-    params.template_embedding.data[:] = 0.0
+    t = params.tensors
+    for name in ("visual/0/weight", "text/0/weight", "proj/visual", "proj/text"):
+        t[name].data[:] = np.eye(dim)
+    for name in ("visual/0/bias", "text/0/bias", "text/template_embedding"):
+        t[name].data[:] = 0.0
     if embedding is not None:
-        params.text_embedding.data[:] = embedding
+        t["text/class_embedding"].data[:] = embedding
     return params
 
 
@@ -97,12 +94,12 @@ def test_init_is_seeded_and_biases_zero():
     for (n1, t1), (n2, t2) in zip(p1.named_parameters(), p2.named_parameters()):
         assert n1 == n2
         assert np.array_equal(t1.data, t2.data)
-    assert np.array_equal(p1.visual_layers[0][1].data, np.zeros(64))
-    assert np.array_equal(p1.text_layers[-1][1].data, np.zeros(32))
+    assert np.array_equal(p1.layers("visual")[0][1].data, np.zeros(64))
+    assert np.array_equal(p1.layers("text")[-1][1].data, np.zeros(32))
     # weights respect the 1/sqrt(fan_in) bound
-    w0 = p1.visual_layers[0][0].data
+    w0 = p1.layers("visual")[0][0].data
     assert np.max(np.abs(w0)) <= 1.0 / np.sqrt(16)
-    assert not np.array_equal(w0, random_params(seed=5).visual_layers[0][0].data)
+    assert not np.array_equal(w0, random_params(seed=5).layers("visual")[0][0].data)
 
 
 def test_out_of_range_ids_rejected():
@@ -124,7 +121,7 @@ def test_gradients_reach_only_batch_embedding_rows():
     out = encode_text(g, params, [2, 5, 2])
     loss = g.sum(out)
     g.backward(loss, params=[t for _, t in params.named_parameters()])
-    grad = params.text_embedding.grad
+    grad = params.tensors["text/class_embedding"].grad
     touched = {2, 5}
     for k in range(20):
         if k in touched:
@@ -153,7 +150,7 @@ def test_freeze_digest_stable_and_content_sensitive():
     twin = random_params(seed=6)
     assert freeze(twin).digest == view.digest
     # a single flipped value changes the digest
-    twin.proj_visual.data[0, 0] += 1e-9
+    twin.tensors["proj/visual"].data[0, 0] += 1e-9
     assert freeze(twin).digest != view.digest
 
 
@@ -169,14 +166,14 @@ def test_frozen_view_encodes_identically():
 def test_frozen_arrays_reject_writes():
     view = freeze(random_params())
     with pytest.raises((ValueError, RuntimeError)):
-        view.proj_visual.data[0, 0] = 1.0
+        view.tensors["proj/visual"].data[0, 0] = 1.0
     assert all(t.frozen for _, t in view.named_parameters())
 
 
 def test_frozen_view_tracks_source_mutation():
     params = random_params()
     view = freeze(params)
-    params.proj_visual.data[0, 0] += 1.0  # mutate through the source
+    params.tensors["proj/visual"].data[0, 0] += 1.0  # mutate through the source
     assert not view.verify()
 
 
@@ -190,8 +187,9 @@ def test_digest_ignores_adapter_prefix_only_in_backbone_digest():
 
 
 @pytest.mark.parametrize("hidden", [(), (5,), (4, 6, 3)])
-def test_parameter_count_matches_init(hidden):
+def test_init_follows_layout(hidden):
     config = ModelConfig(hidden=hidden, visual_dim=7, embed_dim=3, text_dim=9,
                          shared_dim=2).bound(11, 13)
     params = ModelParams.init(config, 0)
-    assert config.parameter_count() == sum(t.size for _, t in params.named_parameters())
+    assert [(n, t.shape) for n, t in params.named_parameters()] == list(config.layout().items())
+    assert ModelConfig.from_shapes(config.layout()) == config

@@ -291,8 +291,8 @@ def test_checkpoint_round_trip_through_model_layer(tmp_path):
         np.testing.assert_array_equal(a, b)
     assert adapter.placement == "both"
     assert adapter.lam == cfg.lam
-    np.testing.assert_array_equal(adapter.language_weight.data,
-                                  result.adapter.language_weight.data)
+    np.testing.assert_array_equal(adapter.branch("language")[0].data,
+                                  result.adapter.branch("language")[0].data)
 
 
 def test_backbone_only_checkpoint_loads_without_adapter(tmp_path):
@@ -344,6 +344,8 @@ def test_config_rejects_unknown_keys():
 
 def test_config_validation_catches_bad_values():
     for bad in ({"mode": "three_phase"}, {"lambda": 1.5}, {"tau": 0.0},
+                {"tau": float("nan")}, {"tau": float("inf")},
+                {"lr_backbone": float("nan")}, {"lr_adapter": float("nan")},
                 {"momentum": 1.0}, {"batch_size": 0},
                 {"placement": "audio"}, {"balance_sampler": "uniform"}):
         with pytest.raises(ConfigurationError):

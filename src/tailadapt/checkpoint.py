@@ -16,14 +16,20 @@ Array order is preserved exactly, so write -> read -> write reproduces the
 file byte for byte. Adapter parameters are stored under the "adapter/"
 prefix; the backbone digest covers every array outside that prefix, which is
 how the two-phase trainer proves the backbone never moved.
+
+Every file the package writes, in this format or another, goes through
+`replacing`, so a reader never sees a half-written file.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
+import secrets
 import struct
-from typing import Iterable, NoReturn, Sequence
+from contextlib import contextmanager
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -51,8 +57,28 @@ def backbone_digest(named: Iterable[tuple[str, np.ndarray]]) -> str:
     return digest_arrays((n, a) for n, a in named if not n.startswith(ADAPTER_PREFIX))
 
 
+@contextmanager
+def replacing(path, mode: str = "wb") -> Iterator:
+    """Open a fresh file beside `path` for writing; when the block ends
+    cleanly it replaces `path` in one `os.replace`. A write that raises or is
+    interrupted leaves `path` as it was and removes the partial file."""
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{secrets.token_hex(6)}.tmp")
+    # O_EXCL: a name clash fails instead of clobbering; 0o666 lets the umask
+    # set the mode, as a plain open() would
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, mode) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_arrays(path, named: Sequence[tuple[str, np.ndarray]]) -> None:
-    with open(path, "wb") as f:
+    with replacing(path) as f:
         f.write(struct.pack("<4sII", MAGIC, VERSION, len(named)))
         for name, arr in named:
             a = np.asarray(arr, dtype="<f8")  # tobytes() is C order; keeps 0-d

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import ByteReader
+from .checkpoint import ByteReader, replacing
 from .errors import (
     ConfigurationError,
     DatasetFormatError,
@@ -135,8 +135,9 @@ class LongTailedDataset:
             raise ConfigurationError(
                 f"test split not balanced: expected {self.test_per_class} per class, "
                 f"found {test_hist.tolist()}")
-        self._train_index = [np.flatnonzero(train_labels == k)
-                             for k in range(self.num_classes)]
+        # each class's train rows in row order, from one stable sort
+        self._train_index = np.split(np.argsort(train_labels, kind="stable"),
+                                     np.cumsum(self.class_counts)[:-1])
 
     @property
     def num_classes(self) -> int:
@@ -280,21 +281,31 @@ class SamplerState:
 
 
 def draw(state: SamplerState, dataset: LongTailedDataset) -> tuple[int, int]:
-    """One (class_id, row_index) pick: class by strategy, instance uniform."""
-    probs = sampler_probs(state.strategy, dataset.class_counts, state.progress)
-    cls = int(state.rng.choice(dataset.num_classes, p=probs))
-    rows = dataset.train_rows_for_class(cls)
-    row = int(rows[state.rng.integers(rows.shape[0])])
-    return cls, row
+    """One (class_id, row_index) pick: a batch of one."""
+    classes, rows = draw_batch(state, dataset, 1)
+    return int(classes[0]), int(rows[0])
 
 
 def draw_batch(state: SamplerState, dataset: LongTailedDataset,
                batch_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """batch_size independent draws; same stream as repeated draw() calls."""
+    """batch_size independent picks: class by strategy, row uniform within it.
+
+    Progress is fixed within a batch, so the class CDF is built once per
+    batch. Each pick then takes one uniform for the class and one bounded
+    integer for the row, in that order. The class pick is what
+    `Generator.choice(K, p=probs)` does inside, so the stream equals a
+    `choice` then an `integers` call per pick, with probs rebuilt each time.
+    """
+    cdf = sampler_probs(state.strategy, dataset.class_counts, state.progress).cumsum()
+    cdf /= cdf[-1]
+    rng = state.rng
     classes = np.empty(batch_size, dtype=np.int64)
     rows = np.empty(batch_size, dtype=np.int64)
     for i in range(batch_size):
-        classes[i], rows[i] = draw(state, dataset)
+        cls = int(cdf.searchsorted(rng.random(), side="right"))
+        pool = dataset.train_rows_for_class(cls)
+        classes[i] = cls
+        rows[i] = pool[rng.integers(pool.shape[0])]
     return classes, rows
 
 
@@ -310,7 +321,7 @@ def write_dataset(dataset: LongTailedDataset, path) -> None:
     rows = np.empty(dataset.labels.shape[0], dtype=_row_dtype(dataset.feature_dim))
     rows["label"] = dataset.labels
     rows["f"] = dataset.features
-    with open(path, "wb") as f:
+    with replacing(path) as f:
         f.write(struct.pack(f"<4sIQII{k}QQ", MAGIC, VERSION, rows.shape[0],
                             dataset.feature_dim, k, *dataset.class_counts.tolist(),
                             dataset.test_per_class))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .adapter import PLACEMENTS, AdapterParams, adapted_text, adapted_visual
 from .autodiff import Graph, Tensor
-from .checkpoint import ADAPTER_PREFIX, read_arrays, write_arrays
+from .checkpoint import ADAPTER_PREFIX, read_arrays, replacing, write_arrays
 from .contrastive import BatchPair, loss_l2v, loss_v2l
 from .data import (
     STRATEGIES,
@@ -140,6 +140,8 @@ class RunConfig:
                 f"warm_start_per_class must be >= 1, got {self.warm_start_per_class}")
         if self.batch_size < 1:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigurationError(f"lambda must be in [0, 1], got {self.lam}")
         if not 0.0 < self.tau < math.inf:
@@ -180,7 +182,7 @@ class RunConfig:
                 spec.hidden = tuple(spec.hidden)
                 top[name] = spec
             else:
-                top[name] = value
+                top[name] = _checked(key, value, cls.__dataclass_fields__[name].type)
         config = cls(**top)
         config.validate()
         return config
@@ -189,11 +191,35 @@ class RunConfig:
 def _spec_from_dict(spec_cls, data, section, forbidden=()):
     if not isinstance(data, dict):
         raise ConfigurationError(f"config section {section!r} must be a mapping")
-    known = {f.name for f in spec_cls.__dataclass_fields__.values()}
-    for key in data:
-        if key in forbidden or key not in known:
+    fields = spec_cls.__dataclass_fields__
+    for key, value in data.items():
+        if key in forbidden or key not in fields:
             raise ConfigurationError(f"unknown config key {section!r}.{key!r}")
+        _checked(f"{section}.{key}", value, fields[key].type)
     return spec_cls(**data)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# the JSON values a config field takes, by its annotation
+_JSON_TYPES = {
+    "int": (_is_int, "an integer"),
+    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "tuple[int, ...]": (lambda v: isinstance(v, list) and all(map(_is_int, v)),
+                        "a list of integers"),
+}
+
+
+def _checked(key: str, value, annotation: str):
+    accepts, wanted = _JSON_TYPES[annotation]
+    if not accepts(value):
+        raise ConfigurationError(f"config key {key!r} must be {wanted}, got {value!r}")
+    return value
 
 
 def load_config(path) -> RunConfig:
@@ -533,9 +559,9 @@ def save_run(result: RunResult) -> None:
     """Write checkpoint, per-epoch log, and final metrics to the config paths."""
     config = result.config
     save_checkpoint(config.checkpoint_path, result.params, result.adapter)
-    with open(config.log_path, "w") as f:
+    with replacing(config.log_path, "w") as f:
         for record in result.log:
             f.write(json.dumps(record) + "\n")
-    with open(config.metrics_path, "w") as f:
+    with replacing(config.metrics_path, "w") as f:
         json.dump(result.metrics.to_record(), f, indent=2)
         f.write("\n")

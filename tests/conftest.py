@@ -1,8 +1,9 @@
 """Shared fixtures.
 
-Full-scale runs on the default task take ~15 s each, and the trend checks
-plus a few unit tests want the same runs from different angles, so they are
-memoized for the whole session. Small-config helpers live here too.
+Full-scale runs on the default task take about 1.6 s each on one core (the
+`train_default` median in BENCH_1.json), and the trend checks plus a few
+unit tests want the same runs from different angles, so they are memoized
+for the whole session. Small-config helpers live here too.
 """
 
 from dataclasses import replace

@@ -7,6 +7,7 @@ from tailadapt.checkpoint import (
     backbone_digest,
     digest_arrays,
     read_arrays,
+    replacing,
     write_arrays,
 )
 from tailadapt.errors import CheckpointFormatError
@@ -21,6 +22,22 @@ def sample_arrays():
         ("adapter/visual/weight", rng.normal(size=(3, 3))),
         ("adapter/lambda", np.array([0.2])),
     ]
+
+
+def test_failed_write_leaves_previous_file_whole(tmp_path):
+    path = tmp_path / "model.ltck"
+    write_arrays(path, sample_arrays())
+    before = path.read_bytes()
+    # the second array is not numeric, so the writer raises after the header
+    # and the first array are written
+    with pytest.raises(ValueError):
+        write_arrays(path, [("a", np.ones(3)), ("b", np.array(["not a number"]))])
+    with pytest.raises(KeyboardInterrupt):
+        with replacing(path) as f:
+            f.write(b"partial")
+            raise KeyboardInterrupt
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ltck"]
 
 
 def test_round_trip_values_and_order(tmp_path):

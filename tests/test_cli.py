@@ -220,6 +220,25 @@ def test_train_rejects_negative_sizes(tmp_path, capsys, extra):
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("extra,key", [
+    ({"tau": "x"}, "tau"),
+    ({"epochs_a": 1.5}, "epochs_a"),
+    ({"model": {"hidden": 5}}, "model.hidden"),
+    ({"seed": "a"}, "seed"),
+    ({"dataset": {"num_classes": "3"}}, "dataset.num_classes"),
+    ({"seed": -1}, "seed"),
+], ids=["tau-string", "epochs-float", "hidden-int", "seed-string", "num-classes-string",
+        "seed-negative"])
+def test_train_rejects_wrongly_typed_values(tmp_path, capsys, extra, key):
+    data = _gen(tmp_path, capsys)
+    cfg_path, _ = _config_file(tmp_path, data, **extra)
+    rc = main(["train", "--config", str(cfg_path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert key in captured.err
+
+
 def test_sweep_lambda_table_output(tmp_path, capsys):
     data = _gen(tmp_path, capsys)
     cfg_path, _ = _config_file(tmp_path, data)

@@ -4,6 +4,7 @@ the dataset file format."""
 import numpy as np
 import pytest
 
+from tailadapt import data
 from tailadapt.data import (
     LongTailedDataset,
     SamplerState,
@@ -183,6 +184,51 @@ def test_draw_batch_matches_repeated_draws():
     assert rows.tolist() == [r for _, r in singles]
 
 
+def reference_draws(state, dataset, n):
+    """The per-pick sampler draw_batch replaced: Generator.choice over probs
+    rebuilt for every pick, then a uniform row within the drawn class."""
+    picks = []
+    for _ in range(n):
+        probs = sampler_probs(state.strategy, dataset.class_counts, state.progress)
+        cls = int(state.rng.choice(dataset.num_classes, p=probs))
+        rows = dataset.train_rows_for_class(cls)
+        picks.append((cls, int(rows[state.rng.integers(rows.shape[0])])))
+    return picks
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 64])
+@pytest.mark.parametrize("strategy,progress", [
+    ("instance", 0.0), ("class_balanced", 0.0), ("square_root", 0.0),
+    ("mix_balanced", 0.0), ("mix_balanced", 0.37), ("mix_balanced", 1.0),
+])
+def test_draw_batch_stream_equals_choice_reference(strategy, progress, batch_size):
+    ds = synth_exponential(12, 90, 30.0, 3, seed=4, test_per_class=2)
+    fast = SamplerState.create(strategy, 19)
+    ref = SamplerState.create(strategy, 19)
+    fast.set_progress(progress)
+    ref.set_progress(progress)
+    for _ in range(3):  # later batches continue the same stream
+        classes, rows = draw_batch(fast, ds, batch_size)
+        picks = reference_draws(ref, ds, batch_size)
+        assert classes.tolist() == [c for c, _ in picks]
+        assert rows.tolist() == [r for _, r in picks]
+
+
+def test_draw_batch_builds_probs_once_per_batch(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return sampler_probs(*args)
+
+    monkeypatch.setattr(data, "sampler_probs", counted)
+    ds = small_dataset()
+    state = SamplerState.create("square_root", 3)
+    for _ in range(4):
+        draw_batch(state, ds, 64)
+    assert len(calls) == 4
+
+
 def test_class_balanced_monte_carlo():
     ds = synth_exponential(10, 500, 100.0, 4, seed=3, test_per_class=2)
     state = SamplerState.create("class_balanced", 11)
@@ -345,6 +391,13 @@ def test_header_without_rows_rejected(tmp_path):
                      + _struct.pack("<QQ", 0, 0))
     with pytest.raises(DatasetFormatError, match="no rows"):
         read_dataset(path)
+
+
+def test_train_rows_for_class_in_row_order():
+    # train labels out of class order, as a dataset file may hold them
+    labels = np.array([2, 0, 1, 0, 2, 2, 0, 1, 2])
+    ds = LongTailedDataset(np.zeros((9, 2)), labels, np.array([2, 1, 3]), test_per_class=1)
+    assert [ds.train_rows_for_class(k).tolist() for k in range(3)] == [[1, 3], [2], [0, 4, 5]]
 
 
 def test_in_memory_count_validation():

@@ -281,6 +281,20 @@ def test_save_run_writes_checkpoint_log_and_metrics(tmp_path):
     assert saved["overall"] == result.metrics.overall
 
 
+def test_save_run_failing_midway_keeps_earlier_files(tmp_path):
+    cfg = small_config(seed=2, epochs_a=1, epochs_b=1,
+                       checkpoint_path=str(tmp_path / "m.ltck"),
+                       log_path=str(tmp_path / "log.jsonl"),
+                       metrics_path=str(tmp_path / "metrics.json"))
+    result = run(cfg)
+    save_run(result)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    result.log.insert(1, {"epoch": object()})  # not JSON: the log write raises mid-file
+    with pytest.raises(TypeError):
+        save_run(result)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_checkpoint_round_trip_through_model_layer(tmp_path):
     cfg = small_config(seed=4, epochs_a=1, epochs_b=1, placement="both")
     result = run(cfg)

@@ -68,7 +68,6 @@ class Tensor:
 
 @dataclass
 class _Node:
-    op: str
     inputs: tuple[Tensor, ...]
     out: Tensor
     backward: Callable[[np.ndarray], None]
@@ -108,35 +107,35 @@ class Graph:
 
     def __init__(self):
         self._nodes: list[_Node] = []
-        self._produced: set[int] = set()
 
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def _record(self, op: str, inputs: tuple[Tensor, ...], out: Tensor,
+    def _record(self, inputs: tuple[Tensor, ...], out: Tensor,
                 backward: Callable[[np.ndarray], None]) -> Tensor:
-        self._nodes.append(_Node(op, inputs, out, backward))
-        self._produced.add(id(out))
+        self._nodes.append(_Node(inputs, out, backward))
         return out
 
     # ---- ops ------------------------------------------------------------
 
-    def affine(self, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-        """out[i, j] = sum_k x[i, k] w[k, j] + b[j]."""
-        if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
+    def affine(self, x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+        """out[i, j] = sum_k x[i, k] w[k, j] + b[j]; without b, no bias term."""
+        b_shape = w.shape[1:] if b is None else b.shape
+        if x.data.ndim != 2 or w.data.ndim != 2 or len(b_shape) != 1:
             raise DimensionError(
-                f"affine expects x 2-d, w 2-d, b 1-d; got {x.shape}, {w.shape}, {b.shape}")
-        if x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
+                f"affine expects x 2-d, w 2-d, b 1-d; got {x.shape}, {w.shape}, {b_shape}")
+        if x.shape[1] != w.shape[0] or w.shape[1] != b_shape[0]:
             raise DimensionError(
-                f"affine shape mismatch: x {x.shape}, w {w.shape}, b {b.shape}")
-        out = Tensor(x.data @ w.data + b.data)
+                f"affine shape mismatch: x {x.shape}, w {w.shape}, b {b_shape}")
+        out = Tensor(x.data @ w.data if b is None else x.data @ w.data + b.data)
 
         def backward(g: np.ndarray) -> None:
             x.grad += g @ w.data.T
             w.grad += x.data.T @ g
-            b.grad += g.sum(axis=0)
+            if b is not None:
+                b.grad += g.sum(axis=0)
 
-        return self._record("affine", (x, w, b), out, backward)
+        return self._record((x, w) if b is None else (x, w, b), out, backward)
 
     def relu(self, x: Tensor) -> Tensor:
         out = Tensor(np.maximum(x.data, 0.0))
@@ -145,7 +144,7 @@ class Graph:
         def backward(g: np.ndarray) -> None:
             x.grad += g * mask
 
-        return self._record("relu", (x,), out, backward)
+        return self._record((x,), out, backward)
 
     def l2_normalize(self, x: Tensor) -> Tensor:
         """Row-wise x_i / ||x_i||; rejects rows with norm below NORM_FLOOR."""
@@ -164,7 +163,7 @@ class Graph:
             inner = np.sum(g * y, axis=1, keepdims=True)
             x.grad += (g - y * inner) / norms[:, None]
 
-        return self._record("l2_normalize", (x,), out, backward)
+        return self._record((x,), out, backward)
 
     def similarity_matrix(self, v: Tensor, u: Tensor, tau: float) -> Tensor:
         """out[i, j] = (v_i . u_j) / tau. Inputs are expected row-normalized."""
@@ -178,7 +177,7 @@ class Graph:
             v.grad += g @ u.data / tau
             u.grad += g.T @ v.data / tau
 
-        return self._record("similarity_matrix", (v, u), out, backward)
+        return self._record((v, u), out, backward)
 
     def diagonal_cross_entropy(self, logits: Tensor) -> Tensor:
         """-(1/N) sum_i log softmax(logits[i, :])[i], stabilized by row max."""
@@ -200,7 +199,7 @@ class Graph:
             delta[np.diag_indices(n)] -= 1.0
             logits.grad += scale * delta
 
-        return self._record("diagonal_cross_entropy", (logits,), out, backward)
+        return self._record((logits,), out, backward)
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
         """Elementwise sum; shapes must match exactly (no broadcasting)."""
@@ -212,7 +211,7 @@ class Graph:
             a.grad += g
             b.grad += g
 
-        return self._record("add", (a, b), out, backward)
+        return self._record((a, b), out, backward)
 
     def scale(self, x: Tensor, c: float) -> Tensor:
         c = float(c)
@@ -221,7 +220,7 @@ class Graph:
         def backward(g: np.ndarray) -> None:
             x.grad += g * c
 
-        return self._record("scale", (x,), out, backward)
+        return self._record((x,), out, backward)
 
     def gather(self, table: Tensor, ids: Sequence[int]) -> Tensor:
         """Select rows of `table`; gradients scatter-add back into those rows only."""
@@ -240,7 +239,7 @@ class Graph:
         def backward(g: np.ndarray) -> None:
             np.add.at(table.grad, idx, g)
 
-        return self._record("gather", (table,), out, backward)
+        return self._record((table,), out, backward)
 
     def sum(self, x: Tensor) -> Tensor:
         """Sum of all entries, as a scalar; the usual way to close a test loss."""
@@ -249,36 +248,39 @@ class Graph:
         def backward(g: np.ndarray) -> None:
             x.grad += g * np.ones_like(x.data)
 
-        return self._record("sum", (x,), out, backward)
+        return self._record((x,), out, backward)
 
     # ---- reverse pass ----------------------------------------------------
 
     def backward(self, loss: Tensor, params: Sequence[Tensor] = ()) -> None:
-        """Populate .grad with dLoss/d(tensor) for everything in the graph.
+        """Set .grad to dLoss/d(t) for each t in `params` and each tensor
+        computed from them; with no `params`, for every tensor on the tape.
 
-        `loss` must be a scalar produced by this graph. Tensors passed in
-        `params` that the loss never touches end up with an all-zero grad
-        rather than None.
+        Only the ops a parameter feeds, directly or through such an op, are
+        replayed. Their other inputs (a data batch, a frozen weight) get a
+        partial grad that nothing should read; tensors no replayed op touches
+        keep their old .grad. `loss` must be a scalar produced by this graph.
+        A param the loss never touches gets an all-zero grad, not None.
         """
         if loss.data.shape != ():
             raise ContractError(
                 f"backward requires a scalar loss, got shape {loss.data.shape}")
-        if id(loss) not in self._produced:
+        if not any(node.out is loss for node in self._nodes):
             raise ContractError("backward requires a loss produced by this graph")
 
-        seen: set[int] = set()
+        live = {id(t) for t in params}
+        touched = {id(t): t for t in params}
+        kept = []
         for node in self._nodes:
-            for t in node.inputs + (node.out,):
-                if id(t) not in seen:
-                    seen.add(id(t))
-                    t.grad = np.zeros_like(t.data)
-        for t in params:
-            if id(t) not in seen:
-                seen.add(id(t))
-                t.grad = np.zeros_like(t.data)
+            if not params or any(id(t) in live for t in node.inputs):
+                kept.append(node)
+                live.add(id(node.out))
+                touched.update((id(t), t) for t in node.inputs + (node.out,))
+        for t in touched.values():
+            t.grad = np.zeros_like(t.data)
 
         loss.grad = np.ones_like(loss.data)
-        for node in reversed(self._nodes):
+        for node in reversed(kept):
             node.backward(node.out.grad)
 
 

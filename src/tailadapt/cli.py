@@ -2,8 +2,8 @@
 
 Subcommands: gen-data, train, eval, sweep-lambda, ablate. Every command
 exits 0 on success and nonzero with a one-line diagnostic on stderr for any
-expected failure (bad config, missing file, malformed data). Tables and
-records go to stdout.
+expected failure (bad config, missing file, malformed data, a size too large
+to allocate). Tables and records go to stdout.
 """
 
 from __future__ import annotations
@@ -173,7 +173,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TailAdaptError, OSError) as exc:
+    except (TailAdaptError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

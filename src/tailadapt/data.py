@@ -171,9 +171,6 @@ class LongTailedDataset:
     def test_labels(self) -> np.ndarray:
         return self.labels[self.n_train:]
 
-    def shot_split(self) -> list[str]:
-        return shot_split(self.class_counts)
-
     def train_rows_for_class(self, class_id: int) -> np.ndarray:
         return self._train_index[class_id]
 

@@ -193,17 +193,12 @@ def _mlp(g: Graph, layers: list[tuple[Tensor, Tensor]], x: Tensor) -> Tensor:
     return g.affine(h, w, b)
 
 
-def _project(g: Graph, h: Tensor, proj: Tensor) -> Tensor:
-    # bias-free projection: constant zero bias, not a tracked parameter
-    return g.affine(h, proj, Tensor(np.zeros(proj.shape[1])))
-
-
 def visual_features(g: Graph, params, x: Tensor) -> Tensor:
     """Projected visual embedding before normalization."""
     if x.data.ndim != 2 or x.shape[1] != params.config.input_dim:
         raise DimensionError(
             f"expected input of width {params.config.input_dim}, got {x.shape}")
-    return _project(g, _mlp(g, params.layers("visual"), x), params.tensors["proj/visual"])
+    return g.affine(_mlp(g, params.layers("visual"), x), params.tensors["proj/visual"])
 
 
 def text_features(g: Graph, params, class_ids) -> Tensor:
@@ -220,7 +215,7 @@ def text_features(g: Graph, params, class_ids) -> Tensor:
     tmpl_rows = g.gather(params.tensors["text/template_embedding"],
                          np.zeros(len(ids), dtype=np.int64))
     h = _mlp(g, params.layers("text"), g.add(cls_rows, tmpl_rows))
-    return _project(g, h, params.tensors["proj/text"])
+    return g.affine(h, params.tensors["proj/text"])
 
 
 def encode_visual(g: Graph, params, x: Tensor) -> Tensor:

@@ -39,6 +39,8 @@ _AXIS_FIELDS = {
 def sweep_lambda(config: RunConfig, values) -> list[dict]:
     """Two-phase metrics per blend weight, sharing one Phase-A backbone."""
     values = [float(v) for v in values]
+    if not values:
+        raise ConfigurationError("sweep_lambda needs at least one lambda value")
     for v in values:
         if not 0.0 <= v <= 1.0:
             raise ConfigurationError(f"lambda values must be in [0, 1], got {v}")

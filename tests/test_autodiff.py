@@ -175,6 +175,24 @@ def test_gather_rows_and_bad_id():
 # ---- backward rules vs finite differences ----------------------------------
 
 
+def test_affine_without_bias_backward_matches_fd():
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.normal(size=(4, 3)))
+    w = Tensor(rng.normal(size=(3, 5)))
+
+    def loss_value():
+        g = Graph()
+        return float(g.sum(g.affine(x, w)).data)
+
+    g = Graph()
+    out = g.affine(x, w)
+    np.testing.assert_array_equal(out.data, x.data @ w.data)
+    g.backward(g.sum(out))
+    for t in (x, w):
+        fd = numeric_grad(loss_value, t.data)
+        assert max_rel_err(t.grad, fd) < 1e-6
+
+
 def test_affine_backward_matches_fd():
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(4, 3)))
@@ -332,6 +350,21 @@ def test_backward_rejects_foreign_loss():
     g.relu(Tensor([[1.0]]))
     with pytest.raises(ContractError):
         g.backward(Tensor(0.0))
+
+
+def test_backward_replays_only_the_ops_params_feed():
+    rng = np.random.default_rng(4)
+    x, w1, w2 = (Tensor(rng.normal(size=s)) for s in ((3, 4), (4, 5), (5, 2)))
+    g = Graph()
+    h = g.relu(g.affine(x, w1))
+    loss = g.sum(g.affine(h, w2))
+    g.backward(loss, params=[w2])
+    np.testing.assert_allclose(w2.grad, h.data.T @ np.ones((3, 2)))
+    assert x.grad is None and w1.grad is None  # no replayed op touches them
+    pruned = w2.grad
+    g.backward(loss)  # no params: every tensor on the tape counts as one
+    np.testing.assert_array_equal(w2.grad, pruned)
+    assert x.grad.shape == x.shape and w1.grad.shape == w1.shape
 
 
 def test_unreached_params_get_zero_grad():

@@ -239,6 +239,30 @@ def test_train_rejects_wrongly_typed_values(tmp_path, capsys, extra, key):
     assert key in captured.err
 
 
+# 10^15 rows is past the 128 TiB user address space, so the allocation fails
+# at once under any overcommit setting instead of taking memory
+HUGE = 10**15
+
+
+def test_train_with_unallocatable_batch_is_a_diagnostic_failure(tmp_path, capsys):
+    data = _gen(tmp_path, capsys)
+    cfg_path, _ = _config_file(tmp_path, data, batch_size=HUGE)
+    rc = main(["train", "--config", str(cfg_path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert not (tmp_path / "model.ltck").exists()
+
+
+def test_gen_data_with_unallocatable_size_is_a_diagnostic_failure(tmp_path, capsys):
+    out = tmp_path / "d.ltds"
+    rc = main(["gen-data", "--kind", "exp", "--n-max", str(HUGE), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert not out.exists()
+
+
 def test_sweep_lambda_table_output(tmp_path, capsys):
     data = _gen(tmp_path, capsys)
     cfg_path, _ = _config_file(tmp_path, data)
@@ -269,6 +293,15 @@ def test_sweep_lambda_rejects_bad_values(tmp_path, capsys):
     rc = main(["sweep-lambda", "--config", str(cfg_path), "--values", "0,7"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_sweep_lambda_rejects_empty_value_list(tmp_path, capsys):
+    data = _gen(tmp_path, capsys)
+    cfg_path, _ = _config_file(tmp_path, data)
+    rc = main(["sweep-lambda", "--config", str(cfg_path), "--values", ","])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error:") and captured.out == ""
 
 
 def test_ablate_axes(tmp_path, capsys):

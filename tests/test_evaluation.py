@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import small_config
+from tailadapt import experiments
 from tailadapt.adapter import AdapterParams
 from tailadapt.errors import ConfigurationError
 from tailadapt.evaluation import build_class_bank, evaluate, metrics_from_predictions
@@ -104,6 +105,14 @@ def test_sweep_zero_row_equals_phase_a_only_exactly():
 def test_sweep_rejects_out_of_range_values():
     with pytest.raises(ConfigurationError):
         sweep_lambda(small_config(), [0.0, 1.2])
+
+
+def test_sweep_rejects_empty_value_list(monkeypatch):
+    built = []
+    monkeypatch.setattr(experiments, "build_dataset", lambda cfg: built.append(cfg))
+    with pytest.raises(ConfigurationError):
+        sweep_lambda(small_config(), [])
+    assert built == []  # refused before any data is built or trained on
 
 
 def test_sweep_row_per_value_in_order():

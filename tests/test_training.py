@@ -8,13 +8,17 @@ import numpy as np
 import pytest
 
 from conftest import small_config
+from tailadapt import training
 from tailadapt.autodiff import Tensor
-from tailadapt.checkpoint import backbone_digest
+from tailadapt.checkpoint import backbone_digest, write_arrays
 from tailadapt.contrastive import predict_batch
+from tailadapt.data import pareto_counts
 from tailadapt.encoders import freeze
 from tailadapt.errors import (
+    CheckpointFormatError,
     ConfigurationError,
     DivergenceError,
+    FreezeViolationError,
     FrozenParameterError,
 )
 from tailadapt.evaluation import build_class_bank
@@ -123,6 +127,25 @@ def test_phase_b_preserves_backbone_bit_for_bit():
     assert before == after
     assert len(log) == cfg.epochs_b
     assert adapter.placement == cfg.placement
+
+
+def test_phase_b_raises_when_the_backbone_changes_under_it(monkeypatch):
+    cfg = small_config(seed=5, epochs_a=1, epochs_b=1)
+    ds = build_dataset(cfg)
+    params, _ = train_phase_a(cfg, ds)
+    real_draw = training.draw_batch
+    bumped = []
+
+    def draw_and_bump(*args):
+        if not bumped:  # the frozen view shares storage with the source
+            params.tensors["proj/visual"].data[0, 0] += 1.0
+            bumped.append(True)
+        return real_draw(*args)
+
+    monkeypatch.setattr(training, "draw_batch", draw_and_bump)
+    with pytest.raises(FreezeViolationError):
+        train_phase_b(params, cfg, ds)
+    assert bumped == [True]
 
 
 def test_joint_runs_combined_epoch_count():
@@ -248,6 +271,23 @@ def test_runs_are_bit_identical_across_repeats():
     assert json.dumps(r1.metrics.to_record()) == json.dumps(r2.metrics.to_record())
 
 
+def _trained_arrays(result) -> list[np.ndarray]:
+    return ([a for _, a in result.params.named_arrays()]
+            + [t.data for _, t in result.adapter.named_parameters()])
+
+
+def test_symmetric_loss_repeats_and_differs_from_one_direction():
+    cfg = small_config(seed=9, epochs_a=2, epochs_b=1, symmetric_loss=True)
+    r1, r2 = run(cfg), run(cfg)
+    one_way = run(replace(cfg, symmetric_loss=False))
+    for a, b in zip(_trained_arrays(r1), _trained_arrays(r2)):
+        np.testing.assert_array_equal(a, b)
+    assert json.dumps(r1.log) == json.dumps(r2.log)
+    assert any(not np.array_equal(a, c)
+               for a, c in zip(_trained_arrays(r1), _trained_arrays(one_way)))
+    assert json.dumps(r1.log) != json.dumps(one_way.log)
+
+
 def test_seeds_change_the_outcome():
     a = run(small_config(seed=0, epochs_a=2, epochs_b=1))
     b = run(small_config(seed=1, epochs_a=2, epochs_b=1))
@@ -319,6 +359,19 @@ def test_backbone_only_checkpoint_loads_without_adapter(tmp_path):
     assert params.config.num_classes == cfg.dataset.num_classes
 
 
+@pytest.mark.parametrize("extra,message", [
+    (lambda arrays: [arrays[0]], "duplicate"),
+    (lambda arrays: [("extra/array", np.zeros(2))], "unknown"),
+], ids=["duplicate-name", "unknown-array"])
+def test_load_checkpoint_rejects_crafted_array_lists(tmp_path, extra, message):
+    cfg = small_config(mode="zero_shot_baseline")
+    arrays = init_params(cfg, build_dataset(cfg)).named_arrays()
+    path = tmp_path / "crafted.ltck"
+    write_arrays(path, arrays + extra(arrays))
+    with pytest.raises(CheckpointFormatError, match=message):
+        load_checkpoint(path)
+
+
 def test_frozen_view_blocks_direct_updates():
     cfg = small_config(epochs_a=1)
     params, _ = train_phase_a(cfg)
@@ -364,6 +417,16 @@ def test_config_validation_catches_bad_values():
                 {"placement": "audio"}, {"balance_sampler": "uniform"}):
         with pytest.raises(ConfigurationError):
             RunConfig.from_dict(bad)
+
+
+def test_build_dataset_pareto_kind_follows_pareto_counts():
+    spec = DatasetSpec(kind="pareto", num_classes=6, n_max=30, alpha=3.0,
+                       feature_dim=5, test_per_class=4)
+    cfg = RunConfig(dataset=spec, seed=2)
+    ds = build_dataset(cfg)
+    np.testing.assert_array_equal(ds.class_counts, pareto_counts(6, 30, 3.0))
+    assert (ds.feature_dim, ds.n_test) == (5, 6 * 4)
+    np.testing.assert_array_equal(build_dataset(cfg).features, ds.features)
 
 
 def test_file_kind_dataset_needs_a_path():

@@ -5,27 +5,45 @@ the comparison as a BENCH_<n>.json file.
         --seeds 200-209 --seconds 28 --trace 0 --raw RAW.jsonl
     python3 tools/bench_pairs.py tier1 --parent DIR --change DIR --raw RAW.jsonl
     python3 tools/bench_pairs.py write --raw RAW.jsonl --out BENCH_<n>.json
+    python3 tools/bench_pairs.py digests --parent DIR --change DIR --seeds 0-4
 
 `run` starts `bench/run.py` in both checkouts once per seed, parent first on
 even pairs and change first on odd ones, and appends each result, with its
 command line and wall time, to RAW.jsonl. `tier1` times the ROADMAP tier-1
 command in both checkouts the same way. `write` reduces RAW.jsonl to each
 side's median and quartiles, per-pair wins and the change/parent ratio for
-every metric, judged against the bounds in BENCHMARK.json. Run it from the
-root of the changed checkout; every run happens in its own checkout.
+every metric, judged against the bounds in BENCHMARK.json. `digests` runs
+the fixed config matrix below in both checkouts at once and compares the
+sha256 of every checkpoint, log, metrics file and sweep row; it prints
+matched/total and each mismatch, and exits 1 on any. Run it from the root
+of the changed checkout; every run happens in its own checkout.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 TIER1 = ["python", "-m", "pytest", "-q", "--continue-on-collection-errors"]
 SIDES = ("parent", "change")
+
+# the digest matrix: every mode under each of these overrides, per seed,
+# plus one lambda sweep per seed
+MODES = ("two_phase", "phase_a_only", "joint", "zero_shot_baseline")
+VARIANTS = {
+    "default": {},
+    "both+symmetric+mix": {"placement": "both", "symmetric_loss": True,
+                           "balance_sampler": "mix_balanced"},
+    "language+square_root": {"placement": "language", "balance_sampler": "square_root"},
+    "warm_start": {"warm_start": True},
+}
+SWEEP_LAMBDAS = (0.0, 0.2, 0.5, 0.9)
 
 
 def seed_list(text: str) -> list[int]:
@@ -151,6 +169,79 @@ def cmd_write(args) -> None:
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
 
 
+def digest_or_error(key: str, produce) -> dict:
+    """{key name: sha256} for each named bytes value produce() returns. A run
+    that raises records its error instead, so both sides must fail alike."""
+    try:
+        return {f"{key} {name}": hashlib.sha256(data).hexdigest()
+                for name, data in produce().items()}
+    except Exception as exc:
+        return {key: f"raised {type(exc).__name__}: {exc}"}
+
+
+def cmd_matrix(args) -> None:
+    """Print one JSON line of digests per run of the digest matrix, for the
+    tailadapt that PYTHONPATH finds."""
+    from dataclasses import replace
+
+    import tailadapt
+    from tailadapt.experiments import sweep_lambda
+    from tailadapt.training import RunConfig, run, save_run
+
+    paths = {kind: os.path.join(args.tmp, f"{kind}.out")
+             for kind in ("checkpoint", "log", "metrics")}
+
+    def artifacts(config: RunConfig) -> dict:
+        save_run(run(replace(config, **{f"{kind}_path": p for kind, p in paths.items()})))
+        return {kind: Path(p).read_bytes() for kind, p in paths.items()}
+
+    def sweep_rows(seed: int) -> dict:
+        rows = sweep_lambda(RunConfig(seed=seed), SWEEP_LAMBDAS)
+        return {f"lambda={row['lambda']}": json.dumps(row).encode() for row in rows}
+
+    print(json.dumps({"source": tailadapt.__file__}), flush=True)
+    for seed in seed_list(args.seeds):
+        for variant, overrides in VARIANTS.items():
+            for mode in MODES:
+                config = RunConfig(seed=seed, mode=mode, **overrides)
+                print(json.dumps(digest_or_error(f"seed={seed} {variant} {mode}",
+                                                 lambda: artifacts(config))), flush=True)
+        print(json.dumps(digest_or_error(f"seed={seed} sweep_lambda",
+                                         lambda: sweep_rows(seed))), flush=True)
+
+
+def cmd_digests(args) -> int:
+    procs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for side in SIDES:
+            root = os.path.abspath(getattr(args, side))
+            env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"),
+                       OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+            os.makedirs(os.path.join(tmp, side))
+            procs[side] = (root, subprocess.Popen(
+                [sys.executable, os.path.abspath(__file__), "matrix", "--seeds", args.seeds,
+                 "--tmp", os.path.join(tmp, side)],
+                cwd=root, env=env, stdout=subprocess.PIPE, text=True))
+        found = {}
+        for side, (root, proc) in procs.items():
+            lines = [json.loads(line) for line in proc.communicate()[0].splitlines()]
+            if proc.returncode != 0 or not lines:
+                print(f"{side}: matrix run exited {proc.returncode}")
+                return 1
+            source = lines[0]["source"]
+            if not source.startswith(os.path.join(root, "src") + os.sep):
+                print(f"{side}: imported tailadapt from {source}, not from {root}")
+                return 1
+            found[side] = {k: v for line in lines[1:] for k, v in line.items()}
+    parent, change = found["parent"], found["change"]
+    keys = list(dict.fromkeys([*parent, *change]))
+    mismatched = [k for k in keys if parent.get(k) != change.get(k)]
+    for k in mismatched:
+        print(f"MISMATCH {k}: parent {parent.get(k)} change {change.get(k)}")
+    print(f"{len(keys) - len(mismatched)}/{len(keys)} digests matched")
+    return 1 if mismatched else 0
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="cmd", required=True)
@@ -168,9 +259,17 @@ def main(argv=None) -> int:
     w = sub.add_parser("write")
     w.add_argument("--raw", required=True)
     w.add_argument("--out", required=True)
+    d = sub.add_parser("digests")
+    d.add_argument("--parent", required=True)
+    d.add_argument("--change", required=True)
+    m = sub.add_parser("matrix", help="one side of `digests`, for the tailadapt on PYTHONPATH")
+    m.add_argument("--tmp", required=True, help="directory for the run artifacts")
+    for s in (d, m):
+        s.add_argument("--seeds", required=True, help="one seed or a range FIRST-LAST")
     args = p.parse_args(argv)
-    {"run": cmd_run, "tier1": cmd_tier1, "write": cmd_write}[args.cmd](args)
-    return 0
+    commands = {"run": cmd_run, "tier1": cmd_tier1, "write": cmd_write,
+                "digests": cmd_digests, "matrix": cmd_matrix}
+    return commands[args.cmd](args) or 0
 
 
 if __name__ == "__main__":

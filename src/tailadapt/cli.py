@@ -78,7 +78,6 @@ def cmd_train(args) -> int:
         config = replace(config, mode=args.mode)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    config.validate()
     result = run(config)
     save_run(result)
     _print_record({"mode": config.mode, "seed": config.seed,

@@ -166,16 +166,16 @@ class FrozenView(ModelParams):
 
     The locked tensors share storage with the originals but their arrays are
     marked non-writeable and flagged frozen, so both numpy and the optimizer
-    refuse to update them. `digest` is the content digest at freeze time and
-    `verify()` re-hashes the live values against it.
+    refuse to update them. `digest_at_freeze` is the content digest at freeze
+    time and `verify()` re-hashes the live values against it.
     """
 
     def __init__(self, params: ModelParams):
         super().__init__(params.config, {name: _lock(t) for name, t in params.tensors.items()})
-        self.digest = digest_arrays(params.named_arrays())
+        self.digest_at_freeze = params.digest()
 
     def verify(self) -> bool:
-        return digest_arrays(self.named_arrays()) == self.digest
+        return self.digest() == self.digest_at_freeze
 
 
 def freeze(params: ModelParams) -> FrozenView:

@@ -20,8 +20,6 @@ from .data import SHOT_FEW, SHOT_MANY, SHOT_MEDIUM, LongTailedDataset, shot_spli
 from .encoders import encode_text, encode_visual
 from .errors import DimensionError
 
-SPLITS = (SHOT_MANY, SHOT_MEDIUM, SHOT_FEW)
-
 
 @dataclass(eq=False)
 class Metrics:

@@ -14,45 +14,37 @@ from statistics import median
 
 import numpy as np
 
+from .adapter import PLACEMENTS
 from .errors import ConfigurationError
 from .evaluation import evaluate
 from .training import RunConfig, RunResult, build_dataset, run, train_phase_a, train_phase_b
 
 GRID_AXES = {
-    "placement": ("visual", "language", "both"),
+    "placement": PLACEMENTS,
     "balance_phase_a": (False, True),
     "balance_phase_b": (False, True),
     "sampler": ("class_balanced", "square_root", "mix_balanced"),
     "mode": ("two_phase", "phase_a_only", "joint"),
 }
 
-# grid axis name -> config field it sets
-_AXIS_FIELDS = {
-    "placement": "placement",
-    "balance_phase_a": "balance_phase_a",
-    "balance_phase_b": "balance_phase_b",
-    "sampler": "balance_sampler",
-    "mode": "mode",
-}
+# grid axis name -> config field it sets, where the two differ
+_AXIS_FIELDS = {"sampler": "balance_sampler"}
 
 
 def sweep_lambda(config: RunConfig, values) -> list[dict]:
     """Two-phase metrics per blend weight, sharing one Phase-A backbone."""
-    values = [float(v) for v in values]
-    if not values:
-        raise ConfigurationError("sweep_lambda needs at least one lambda value")
-    for v in values:
-        if not 0.0 <= v <= 1.0:
-            raise ConfigurationError(f"lambda values must be in [0, 1], got {v}")
     base = replace(config, mode="two_phase")
+    # building every config checks every value before any training
+    configs = [replace(base, lam=float(v)) for v in values]
+    if not configs:
+        raise ConfigurationError("sweep_lambda needs at least one lambda value")
     dataset = build_dataset(base)
     params, _ = train_phase_a(base, dataset)
     rows = []
-    for lam in values:
-        cfg = replace(base, lam=lam)
+    for cfg in configs:
         adapter, _ = train_phase_b(params, cfg, dataset)
         metrics = evaluate(params, adapter, dataset, cfg.tau)
-        rows.append({"lambda": lam, **metrics.summary()})
+        rows.append({"lambda": cfg.lam, **metrics.summary()})
     return rows
 
 
@@ -81,7 +73,7 @@ def ablation_grid(config: RunConfig, axes) -> list[dict]:
     for combo in itertools.product(*(named[n] for n in names)):
         cfg = config
         for name, value in zip(names, combo):
-            cfg = replace(cfg, **{_AXIS_FIELDS[name]: value})
+            cfg = replace(cfg, **{_AXIS_FIELDS.get(name, name): value})
         result = run(cfg)
         row = {name: value for name, value in zip(names, combo)}
         row["seed"] = cfg.seed

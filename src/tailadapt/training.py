@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 from typing import Sequence
 
 import numpy as np
@@ -66,14 +66,11 @@ MODES = ("two_phase", "phase_a_only", "joint", "zero_shot_baseline")
 DATASET_KINDS = ("exponential", "pareto", "file")
 DIVERGENCE_CEILING = 1e6
 
-_PLACEMENT_CODES = {"visual": 0.0, "language": 1.0, "both": 2.0}
-_CODE_PLACEMENTS = {v: k for k, v in _PLACEMENT_CODES.items()}
-
 
 # ---- configuration ----------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class DatasetSpec:
     """Where the training data comes from: synthesized or read from a file."""
 
@@ -87,7 +84,7 @@ class DatasetSpec:
     test_per_class: int = 20
     path: str | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.kind not in DATASET_KINDS:
             raise ConfigurationError(
                 f"dataset kind must be one of {DATASET_KINDS}, got {self.kind!r}")
@@ -95,9 +92,10 @@ class DatasetSpec:
             raise ConfigurationError("dataset kind 'file' needs a path")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Everything that determines a run, bar nothing."""
+    """Everything that determines a run, bar nothing. Building one, or
+    replace()-ing a field of one, checks every value."""
 
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
     model: ModelConfig = field(default_factory=ModelConfig)
@@ -123,8 +121,7 @@ class RunConfig:
     log_path: str = "train_log.jsonl"
     metrics_path: str = "metrics.json"
 
-    def validate(self) -> None:
-        self.dataset.validate()
+    def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigurationError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.placement not in PLACEMENTS:
@@ -151,52 +148,45 @@ class RunConfig:
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigurationError(f"momentum must be in [0, 1), got {self.momentum}")
 
-    # config files use the key "lambda"; that's a keyword here, hence "lam"
-    _KEY_ALIASES = {"lambda": "lam"}
-
     def to_dict(self) -> dict:
         raw = asdict(self)
-        raw["lambda"] = raw.pop("lam")
+        for name, key in _FILE_KEYS.items():
+            raw[key] = raw.pop(name)
         raw["model"]["hidden"] = list(self.model.hidden)
-        del raw["model"]["input_dim"]  # bound from the dataset at run time
-        del raw["model"]["num_classes"]
+        for name in _BOUND_WIDTHS:
+            del raw["model"][name]
         return raw
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        if not isinstance(data, dict):
-            raise ConfigurationError("config root must be a mapping")
-        # the file spells out "lambda"; the field is "lam" only because of
-        # the python keyword
-        known = ({f.name for f in cls.__dataclass_fields__.values()} - {"lam"}) | {"lambda"}
-        top = {}
-        for key, value in data.items():
-            if key not in known:
-                raise ConfigurationError(f"unknown config key {key!r}")
-            name = cls._KEY_ALIASES.get(key, key)
-            if name == "dataset":
-                top[name] = _spec_from_dict(DatasetSpec, value, "dataset")
-            elif name == "model":
-                spec = _spec_from_dict(ModelConfig, value, "model",
-                                       forbidden=("input_dim", "num_classes"))
-                spec.hidden = tuple(spec.hidden)
-                top[name] = spec
-            else:
-                top[name] = _checked(key, value, cls.__dataclass_fields__[name].type)
-        config = cls(**top)
-        config.validate()
-        return config
+        return _read_section(cls, data, "")
 
 
-def _spec_from_dict(spec_cls, data, section, forbidden=()):
+# field -> config file key where they differ: "lambda" is a python keyword
+_FILE_KEYS = {"lam": "lambda"}
+# the ModelConfig widths bound from the dataset at run time; no file sets them
+_BOUND_WIDTHS = ("input_dim", "num_classes")
+
+
+def _read_section(cls, data, prefix: str):
+    """Build `cls` from one JSON mapping. Every key must name a field and
+    every value must have that field's JSON type; a dataclass field is read
+    as a nested section. `prefix` ("" at the root) names keys in errors."""
     if not isinstance(data, dict):
-        raise ConfigurationError(f"config section {section!r} must be a mapping")
-    fields = spec_cls.__dataclass_fields__
+        where = f"section {prefix[:-1]!r}" if prefix else "root"
+        raise ConfigurationError(f"config {where} must be a mapping")
+    fields = {_FILE_KEYS.get(name, name): f for name, f in cls.__dataclass_fields__.items()
+              if not (cls is ModelConfig and name in _BOUND_WIDTHS)}
+    values = {}
     for key, value in data.items():
-        if key in forbidden or key not in fields:
-            raise ConfigurationError(f"unknown config key {section!r}.{key!r}")
-        _checked(f"{section}.{key}", value, fields[key].type)
-    return spec_cls(**data)
+        if key not in fields:
+            raise ConfigurationError(f"unknown config key {prefix + key!r}")
+        f = fields[key]
+        if is_dataclass(f.default_factory):
+            values[f.name] = _read_section(f.default_factory, value, f"{prefix}{key}.")
+        else:
+            values[f.name] = _checked(prefix + key, value, f.type)
+    return cls(**values)
 
 
 def _is_int(value) -> bool:
@@ -219,15 +209,16 @@ def _checked(key: str, value, annotation: str):
     accepts, wanted = _JSON_TYPES[annotation]
     if not accepts(value):
         raise ConfigurationError(f"config key {key!r} must be {wanted}, got {value!r}")
-    return value
+    return tuple(value) if isinstance(value, list) else value
 
 
 def load_config(path) -> RunConfig:
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         try:
             data = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"{path}: not valid JSON ({exc})") from exc
+        except (ValueError, RecursionError) as exc:
+            # bad JSON, bytes that are not UTF-8 and over-long integers all raise ValueError
+            raise ConfigurationError(f"{path}: not a readable JSON config ({exc})") from exc
     return RunConfig.from_dict(data)
 
 
@@ -278,7 +269,6 @@ def sgd_momentum_step(named_params, grads: dict[str, np.ndarray],
 
 def build_dataset(config: RunConfig) -> LongTailedDataset:
     spec = config.dataset
-    spec.validate()
     if spec.kind == "file":
         return read_dataset(spec.path)
     seed = [config.seed, SEED_DATA]
@@ -298,9 +288,8 @@ def init_params(config: RunConfig, dataset: LongTailedDataset) -> ModelParams:
 
 def _dataset_for(config: RunConfig, dataset: LongTailedDataset | None,
                  modes: Sequence[str] = MODES, what: str = "") -> LongTailedDataset:
-    """Validate the config, refuse modes that do not run `what`, and build
-    the dataset unless the caller passed one."""
-    config.validate()
+    """Refuse modes that do not run `what`, and build the dataset unless the
+    caller passed one."""
     if config.mode not in modes:
         raise ConfigurationError(f"mode {config.mode!r} does not run {what}")
     return build_dataset(config) if dataset is None else dataset
@@ -511,7 +500,7 @@ def save_checkpoint(path, params: ModelParams, adapter: AdapterParams | None = N
         arrays += [(name, t.data) for name, t in adapter.named_parameters()]
         arrays.append(("adapter/lambda", np.array([adapter.lam])))
         arrays.append(("adapter/placement_code",
-                       np.array([_PLACEMENT_CODES[adapter.placement]])))
+                       np.array([float(PLACEMENTS.index(adapter.placement))])))
     write_arrays(path, arrays)
 
 
@@ -530,10 +519,10 @@ def load_checkpoint(path) -> tuple[ModelParams, AdapterParams | None]:
         lam, code = (table.pop(name, np.empty(0))
                      for name in ("adapter/lambda", "adapter/placement_code"))
         if (lam.shape != (1,) or code.shape != (1,) or not 0.0 <= lam[0] <= 1.0
-                or code[0] not in _CODE_PLACEMENTS):
+                or code[0] not in range(len(PLACEMENTS))):
             raise CheckpointFormatError(f"{path}: adapter/lambda and adapter/placement_code "
                                         f"must hold one valid value each, found {lam}, {code}")
-        placement = _CODE_PLACEMENTS[code[0]]
+        placement = PLACEMENTS[int(code[0])]
         adapter_layout = AdapterParams.layout(config.shared_dim, placement)
     expected = layout | adapter_layout
     for name, shape in expected.items():

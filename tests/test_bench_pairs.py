@@ -1,0 +1,38 @@
+"""tools/bench_pairs.py on hand-written raw files."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bench_record(side: str, workload: str, seed: int, op_s: float) -> dict:
+    return {
+        "kind": "bench", "side": side, "pair": 0, "cpu_model": "test",
+        "argv": ["python3", "bench/run.py", "--workload", workload, "--seed", str(seed),
+                 "--trace", "0"],
+        "wall_s": 1.0,
+        "info": {"workload": workload, "seed": seed, "digest": "d", "fail_rate": 0.0,
+                 "environment": {}},
+        "result": {"correct": True, "metrics": {"op_s": {"value": op_s}}},
+    }
+
+
+def test_write_lists_a_one_sided_workload_as_incomplete(tmp_path, monkeypatch):
+    raw = tmp_path / "raw.jsonl"
+    raw.write_text("".join(json.dumps(_bench_record("parent", "train_default", seed, 1.0)) + "\n"
+                           for seed in (200, 201)))
+    out = tmp_path / "bench.json"
+    monkeypatch.chdir(ROOT)  # write reads BENCHMARK.json from the working directory
+    assert _bench_pairs().main(["write", "--raw", str(raw), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["incomplete"] == {"train_default": {"end_to_end": {"parent": 2, "change": 0}}}
+    assert report["workloads"] == {}

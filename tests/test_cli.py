@@ -157,6 +157,34 @@ def test_malformed_json_config(tmp_path, capsys):
     assert rc == 1 and "error:" in captured.err
 
 
+@pytest.mark.parametrize("content", [
+    b'\xff\xfe{"seed": 1}',
+    b'{"seed": ' + b"9" * 5000 + b"}",
+    b"[" * 100_000,
+], ids=["not-utf8", "oversized-integer", "deeply-nested"])
+@pytest.mark.parametrize("command", [
+    ["train"], ["sweep-lambda", "--values", "0.5"], ["ablate", "--axes", "mode"],
+], ids=["train", "sweep-lambda", "ablate"])
+def test_unreadable_config_file_is_a_diagnostic_failure(tmp_path, capsys, content, command):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    rc = main([*command, "--config", str(bad)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error:") and str(bad) in captured.err
+    assert captured.out == ""
+
+
+def test_train_rejects_negative_seed_override(tmp_path, capsys):
+    data = _gen(tmp_path, capsys)
+    cfg_path, _ = _config_file(tmp_path, data)
+    rc = main(["train", "--config", str(cfg_path), "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error:") and "seed" in captured.err
+    assert not (tmp_path / "model.ltck").exists()
+
+
 def test_missing_files_fail_nonzero(tmp_path, capsys):
     rc = main(["train", "--config", str(tmp_path / "absent.json")])
     assert rc == 1

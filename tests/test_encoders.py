@@ -144,14 +144,15 @@ def test_freeze_digest_stable_and_content_sensitive():
     params = random_params(seed=6)
     view = freeze(params)
     assert isinstance(view, FrozenView)
-    assert view.digest == params.digest()
+    assert view.digest_at_freeze == params.digest()
+    assert view.digest() == params.digest()
     assert view.verify()
     # same values -> same digest, regardless of object identity
     twin = random_params(seed=6)
-    assert freeze(twin).digest == view.digest
+    assert freeze(twin).digest_at_freeze == view.digest_at_freeze
     # a single flipped value changes the digest
     twin.tensors["proj/visual"].data[0, 0] += 1e-9
-    assert freeze(twin).digest != view.digest
+    assert freeze(twin).digest_at_freeze != view.digest_at_freeze
 
 
 def test_frozen_view_encodes_identically():

@@ -115,6 +115,14 @@ def test_sweep_rejects_empty_value_list(monkeypatch):
     assert built == []  # refused before any data is built or trained on
 
 
+def test_sweep_checks_every_value_before_building_data(monkeypatch):
+    built = []
+    monkeypatch.setattr(experiments, "build_dataset", lambda cfg: built.append(cfg))
+    with pytest.raises(ConfigurationError, match="1.2"):
+        sweep_lambda(small_config(), [0.0, 0.5, 1.2])
+    assert built == []
+
+
 def test_sweep_row_per_value_in_order():
     rows = sweep_lambda(small_config(epochs_a=1, epochs_b=1), [0.5, 0.0, 1.0])
     assert [r["lambda"] for r in rows] == [0.5, 0.0, 1.0]

@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -359,10 +359,20 @@ def test_backbone_only_checkpoint_loads_without_adapter(tmp_path):
     assert params.config.num_classes == cfg.dataset.num_classes
 
 
+def _adapter_scalars(lam, code):
+    return lambda arrays: [("adapter/lambda", np.array([lam])),
+                           ("adapter/placement_code", np.array([code]))]
+
+
 @pytest.mark.parametrize("extra,message", [
     (lambda arrays: [arrays[0]], "duplicate"),
     (lambda arrays: [("extra/array", np.zeros(2))], "unknown"),
-], ids=["duplicate-name", "unknown-array"])
+    (_adapter_scalars(0.2, 0.5), "one valid value"),
+    (_adapter_scalars(0.2, 3.0), "one valid value"),
+    (_adapter_scalars(0.2, float("nan")), "one valid value"),
+    (_adapter_scalars(1.5, 1.0), "one valid value"),
+], ids=["duplicate-name", "unknown-array", "fractional-code", "code-out-of-range",
+        "nan-code", "lambda-out-of-range"])
 def test_load_checkpoint_rejects_crafted_array_lists(tmp_path, extra, message):
     cfg = small_config(mode="zero_shot_baseline")
     arrays = init_params(cfg, build_dataset(cfg)).named_arrays()
@@ -432,3 +442,20 @@ def test_build_dataset_pareto_kind_follows_pareto_counts():
 def test_file_kind_dataset_needs_a_path():
     with pytest.raises(ConfigurationError):
         RunConfig.from_dict({"dataset": {"kind": "file"}})
+
+
+def test_configs_are_checked_when_built():
+    with pytest.raises(ConfigurationError, match="seed"):
+        RunConfig(seed=-1)
+    with pytest.raises(ConfigurationError, match="lambda"):
+        replace(RunConfig(), lam=1.5)
+    with pytest.raises(ConfigurationError, match="path"):
+        DatasetSpec(kind="file")
+
+
+def test_configs_are_immutable():
+    cfg = RunConfig()
+    with pytest.raises(FrozenInstanceError):
+        cfg.seed = 1
+    with pytest.raises(FrozenInstanceError):
+        cfg.dataset.kind = "file"

@@ -12,7 +12,8 @@ even pairs and change first on odd ones, and appends each result, with its
 command line and wall time, to RAW.jsonl. `tier1` times the ROADMAP tier-1
 command in both checkouts the same way. `write` reduces RAW.jsonl to each
 side's median and quartiles, per-pair wins and the change/parent ratio for
-every metric, judged against the bounds in BENCHMARK.json. `digests` runs
+every metric, judged against the bounds in BENCHMARK.json; a workload with
+runs from one side only is listed under "incomplete" instead. `digests` runs
 the fixed config matrix below in both checkouts at once and compares the
 sha256 of every checkpoint, log, metrics file and sweep row; it prints
 matched/total and each mismatch, and exits 1 on any. Run it from the root
@@ -132,7 +133,8 @@ def cmd_write(args) -> None:
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     records = [json.loads(line) for line in open(args.raw)]
-    report = {"command_lines": [], "workloads": {}, "tier1": {}, "machine": None}
+    report = {"command_lines": [], "workloads": {}, "incomplete": {}, "tier1": {},
+              "machine": None}
     groups: dict = {}
     for r in records:
         report["command_lines"].append({"side": r["side"], "argv": r["argv"]})
@@ -146,6 +148,10 @@ def cmd_write(args) -> None:
         key = (info["workload"], "trace" if traced else "end_to_end")
         groups.setdefault(key, []).append(r)
     for (workload, kind), runs in sorted(groups.items()):
+        counts = {side: sum(r["side"] == side for r in runs) for side in SIDES}
+        if not all(counts.values()):  # one side has no run yet, as while `run` goes on
+            report["incomplete"].setdefault(workload, {})[kind] = counts
+            continue
         metrics: dict = {}
         for r in runs:
             for name, m in r["result"]["metrics"].items():

@@ -39,7 +39,7 @@ from .encoders import (
     encode_visual,
     freeze,
 )
-from .evaluation import Metrics, evaluate, metrics_from_predictions
+from .evaluation import Metrics, evaluate, metrics_from_predictions, predict_test_split
 from .experiments import ablation_grid, format_table, run_seeds, sweep_lambda
 from .training import (
     DatasetSpec,
@@ -53,7 +53,6 @@ from .training import (
     save_checkpoint,
     save_run,
     sgd_momentum_step,
-    train_joint,
     train_phase_a,
     train_phase_b,
     warm_start,

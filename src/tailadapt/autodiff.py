@@ -40,19 +40,18 @@ def check_temperature(tau: float) -> None:
 class Tensor:
     """Dense float64 array plus an optional gradient buffer of equal shape.
 
-    `frozen` marks tensors exposed through a frozen parameter view; the
-    optimizer refuses to update them and the underlying array is read-only.
+    A tensor exposed through a frozen parameter view holds a read-only
+    array, and the optimizer refuses to update it.
     """
 
-    __slots__ = ("data", "grad", "frozen")
+    __slots__ = ("data", "grad")
 
-    def __init__(self, data, frozen: bool = False):
+    def __init__(self, data):
         arr = np.asarray(data, dtype=np.float64)
         if not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)
         self.data = arr
         self.grad: np.ndarray | None = None
-        self.frozen = frozen
 
     @property
     def shape(self) -> tuple[int, ...]:

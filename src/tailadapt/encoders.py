@@ -158,16 +158,16 @@ class ModelParams:
 def _lock(t: Tensor) -> Tensor:
     view = t.data.view()
     view.flags.writeable = False  # shares storage, rejects writes
-    return Tensor(view, frozen=True)
+    return Tensor(view)
 
 
 class FrozenView(ModelParams):
     """ModelParams over read-only views of another ModelParams' tensors.
 
     The locked tensors share storage with the originals but their arrays are
-    marked non-writeable and flagged frozen, so both numpy and the optimizer
-    refuse to update them. `digest_at_freeze` is the content digest at freeze
-    time and `verify()` re-hashes the live values against it.
+    marked non-writeable, so both numpy and the optimizer refuse to update
+    them. `digest_at_freeze` is the content digest at freeze time and
+    `verify()` re-hashes the live values against it.
     """
 
     def __init__(self, params: ModelParams):

@@ -53,7 +53,7 @@ def metrics_from_predictions(predictions, labels, class_counts) -> Metrics:
     truth = np.asarray(labels, dtype=np.int64)
     counts = np.asarray(class_counts, dtype=np.int64)
     if preds.shape != truth.shape:
-        raise ValueError(f"{preds.shape} predictions vs {truth.shape} labels")
+        raise DimensionError(f"{preds.shape} predictions vs {truth.shape} labels")
     k = counts.shape[0]
     tags = shot_split(counts)
     hits = preds == truth
@@ -92,9 +92,10 @@ def build_class_bank(params, adapter: AdapterParams | None) -> ClassBank:
     return ClassBank(rows.data, class_ids)
 
 
-def evaluate(params, adapter: AdapterParams | None, dataset: LongTailedDataset,
-             tau: float = 1.0) -> Metrics:
-    """Zero-shot-rule accuracy of the (optionally adapted) model on the test split."""
+def predict_test_split(params, adapter: AdapterParams | None, dataset: LongTailedDataset,
+                       tau: float = 1.0) -> np.ndarray:
+    """Zero-shot-rule class id of the (optionally adapted) model for each
+    test row: the predictions `evaluate` scores."""
     if params.config.num_classes != dataset.num_classes:
         raise DimensionError(f"model has {params.config.num_classes} classes, "
                              f"dataset has {dataset.num_classes}")
@@ -105,6 +106,11 @@ def evaluate(params, adapter: AdapterParams | None, dataset: LongTailedDataset,
         rows = adapted_visual(g, params, adapter, x)
     else:
         rows = encode_visual(g, params, x)
-    predictions = predict_batch(rows.data, bank, tau)
-    return metrics_from_predictions(predictions, dataset.test_labels,
-                                    dataset.class_counts)
+    return predict_batch(rows.data, bank, tau)
+
+
+def evaluate(params, adapter: AdapterParams | None, dataset: LongTailedDataset,
+             tau: float = 1.0) -> Metrics:
+    """Zero-shot-rule accuracy of the (optionally adapted) model on the test split."""
+    return metrics_from_predictions(predict_test_split(params, adapter, dataset, tau),
+                                    dataset.test_labels, dataset.class_counts)

@@ -32,14 +32,14 @@ _AXIS_FIELDS = {"sampler": "balance_sampler"}
 
 
 def sweep_lambda(config: RunConfig, values) -> list[dict]:
-    """Two-phase metrics per blend weight, sharing one Phase-A backbone."""
-    base = replace(config, mode="two_phase")
+    """Two-phase metrics per blend weight, sharing one Phase-A backbone.
+    config.mode plays no part: the sweep always runs Phase A then Phase B."""
     # building every config checks every value before any training
-    configs = [replace(base, lam=float(v)) for v in values]
+    configs = [replace(config, lam=float(v)) for v in values]
     if not configs:
         raise ConfigurationError("sweep_lambda needs at least one lambda value")
-    dataset = build_dataset(base)
-    params, _ = train_phase_a(base, dataset)
+    dataset = build_dataset(config)
+    params, _ = train_phase_a(config, dataset)
     rows = []
     for cfg in configs:
         adapter, _ = train_phase_b(params, cfg, dataset)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, is_dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -249,10 +248,11 @@ def sgd_momentum_step(named_params, grads: dict[str, np.ndarray],
                       state: OptimizerState, lr: float, momentum: float) -> None:
     """v <- momentum * v + g; theta <- theta - lr * v, all in place.
 
-    Refuses to touch frozen tensors. An empty parameter list is a no-op.
+    Refuses to touch frozen (read-only) tensors. An empty parameter list is
+    a no-op.
     """
     for name, t in named_params:
-        if t.frozen:
+        if not t.data.flags.writeable:
             raise FrozenParameterError(f"cannot update frozen parameter {name!r}")
         g = grads[name]
         if g.shape != t.data.shape:
@@ -284,15 +284,6 @@ def build_dataset(config: RunConfig) -> LongTailedDataset:
 def init_params(config: RunConfig, dataset: LongTailedDataset) -> ModelParams:
     bound = config.model.bound(dataset.feature_dim, dataset.num_classes)
     return ModelParams.init(bound, np.random.default_rng([config.seed, SEED_INIT]))
-
-
-def _dataset_for(config: RunConfig, dataset: LongTailedDataset | None,
-                 modes: Sequence[str] = MODES, what: str = "") -> LongTailedDataset:
-    """Refuse modes that do not run `what`, and build the dataset unless the
-    caller passed one."""
-    if config.mode not in modes:
-        raise ConfigurationError(f"mode {config.mode!r} does not run {what}")
-    return build_dataset(config) if dataset is None else dataset
 
 
 def _backbone(config: RunConfig, dataset: LongTailedDataset, log: list) -> ModelParams:
@@ -393,14 +384,13 @@ def _train_epochs(phase: Phase, backbone, adapter: AdapterParams | None,
 # ---- phases -----------------------------------------------------------------
 
 
-def warm_start(config: RunConfig, dataset: LongTailedDataset | None = None,
+def warm_start(config: RunConfig, dataset: LongTailedDataset,
                log: list | None = None) -> ModelParams:
     """Initialize the backbone and briefly pre-train it on a balanced pool.
 
     The pool shares the dataset's class means but uses freshly drawn cluster
     noise, so it overlaps the real train split in distribution, not in rows.
     """
-    dataset = _dataset_for(config, dataset)
     params = init_params(config, dataset)
     if dataset.class_means is not None:
         means, sigma = dataset.class_means, dataset.noise_sigma
@@ -414,13 +404,10 @@ def warm_start(config: RunConfig, dataset: LongTailedDataset | None = None,
     return params
 
 
-def train_phase_a(config: RunConfig, dataset: LongTailedDataset | None = None,
-                  params: ModelParams | None = None) -> tuple[ModelParams, list]:
+def train_phase_a(config: RunConfig, dataset: LongTailedDataset) -> tuple[ModelParams, list]:
     """Full-backbone contrastive fine-tuning on the long-tailed split."""
-    dataset = _dataset_for(config, dataset, ("two_phase", "phase_a_only"), "Phase A")
     log: list[dict] = []
-    if params is None:
-        params = _backbone(config, dataset, log)
+    params = _backbone(config, dataset, log)
     phase = Phase("A", config.epochs_a, _strategy(config, config.balance_phase_a),
                   SEED_PHASE_A_SAMPLER)
     _train_epochs(phase, params, None, dataset, config, log)
@@ -428,12 +415,11 @@ def train_phase_a(config: RunConfig, dataset: LongTailedDataset | None = None,
 
 
 def train_phase_b(params: ModelParams, config: RunConfig,
-                  dataset: LongTailedDataset | None = None) -> tuple[AdapterParams, list]:
+                  dataset: LongTailedDataset) -> tuple[AdapterParams, list]:
     """Adapter-only training on balanced draws over a frozen backbone.
 
     The backbone digest is checked after training; any drift raises.
     """
-    dataset = _dataset_for(config, dataset)
     frozen = freeze(params)
     adapter = _init_adapter(config)
     log: list[dict] = []
@@ -444,21 +430,6 @@ def train_phase_b(params: ModelParams, config: RunConfig,
         raise FreezeViolationError(
             "backbone digest changed during adapter training")
     return adapter, log
-
-
-def train_joint(config: RunConfig,
-                dataset: LongTailedDataset | None = None
-                ) -> tuple[ModelParams, AdapterParams, list]:
-    """Single-stage baseline: backbone and adapter updated together for
-    epochs_a + epochs_b epochs on the Phase-A sampler."""
-    dataset = _dataset_for(config, dataset, ("joint",), "the joint baseline")
-    log: list[dict] = []
-    params = _backbone(config, dataset, log)
-    adapter = _init_adapter(config)
-    phase = Phase("joint", config.epochs_a + config.epochs_b,
-                  _strategy(config, config.balance_phase_a), SEED_JOINT_SAMPLER)
-    _train_epochs(phase, params, adapter, dataset, config, log)
-    return params, adapter, log
 
 
 # ---- runs -------------------------------------------------------------------
@@ -475,11 +446,19 @@ class RunResult:
 
 
 def run(config: RunConfig) -> RunResult:
-    """Execute one full run for the configured mode and evaluate it."""
-    dataset = _dataset_for(config, None)
+    """Execute one full run for the configured mode and evaluate it. This is
+    the one reader of config.mode: the phase functions train on the dataset
+    they are given, whatever the mode."""
+    dataset = build_dataset(config)
     adapter, log = None, []
     if config.mode == "joint":
-        params, adapter, log = train_joint(config, dataset)
+        # single-stage baseline: backbone and adapter updated together for
+        # epochs_a + epochs_b epochs on the Phase-A sampler
+        params = _backbone(config, dataset, log)
+        adapter = _init_adapter(config)
+        phase = Phase("joint", config.epochs_a + config.epochs_b,
+                      _strategy(config, config.balance_phase_a), SEED_JOINT_SAMPLER)
+        _train_epochs(phase, params, adapter, dataset, config, log)
     elif config.mode == "zero_shot_baseline":
         params = _backbone(config, dataset, log)
     else:

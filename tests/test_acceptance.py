@@ -38,7 +38,7 @@ from tailadapt.data import (
     write_dataset,
 )
 from tailadapt.encoders import ModelConfig, ModelParams
-from tailadapt.evaluation import build_class_bank
+from tailadapt.evaluation import predict_test_split
 from tailadapt.experiments import sweep_lambda
 from tailadapt.training import (
     RunConfig,
@@ -195,15 +195,8 @@ def test_acceptance_classification_rule():
 
 
 def _predictions(result):
-    bank = build_class_bank(result.params, result.adapter)
-    g = Graph()
-    x = Tensor(result.dataset.test_features)
-    if result.adapter is not None and result.adapter.adapts_visual:
-        rows = adapted_visual(g, result.params, result.adapter, x)
-    else:
-        from tailadapt.encoders import encode_visual
-        rows = encode_visual(g, result.params, x)
-    return predict_batch(rows.data, bank, result.config.tau)
+    return predict_test_split(result.params, result.adapter, result.dataset,
+                              result.config.tau)
 
 
 def test_acceptance_zero_blend_identity():

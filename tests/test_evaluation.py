@@ -6,7 +6,7 @@ import pytest
 from conftest import small_config
 from tailadapt import experiments
 from tailadapt.adapter import AdapterParams
-from tailadapt.errors import ConfigurationError
+from tailadapt.errors import ConfigurationError, DimensionError
 from tailadapt.evaluation import build_class_bank, evaluate, metrics_from_predictions
 from tailadapt.experiments import (
     ablation_grid,
@@ -60,7 +60,7 @@ def test_empty_bucket_reports_nan_and_zero_rows():
 
 
 def test_shape_mismatch_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionError):
         metrics_from_predictions(np.zeros(3, dtype=int), np.zeros(4, dtype=int), COUNTS)
 
 
@@ -100,6 +100,13 @@ def test_sweep_zero_row_equals_phase_a_only_exactly():
         else:
             assert got[key] == value
     assert rows[0]["lambda"] == 0.0 and rows[1]["lambda"] == 0.3
+
+
+def test_sweep_rows_do_not_depend_on_mode():
+    values = [0.0, 0.4]
+    two = sweep_lambda(small_config(seed=2, epochs_a=2, epochs_b=2), values)
+    joint = sweep_lambda(small_config(seed=2, epochs_a=2, epochs_b=2, mode="joint"), values)
+    assert repr(two) == repr(joint)  # repr, so nan rows compare equal
 
 
 def test_sweep_rejects_out_of_range_values():

@@ -10,8 +10,7 @@ import pytest
 from conftest import small_config
 from tailadapt import training
 from tailadapt.autodiff import Tensor
-from tailadapt.checkpoint import backbone_digest, write_arrays
-from tailadapt.contrastive import predict_batch
+from tailadapt.checkpoint import backbone_digest, digest_arrays, write_arrays
 from tailadapt.data import pareto_counts
 from tailadapt.encoders import freeze
 from tailadapt.errors import (
@@ -21,7 +20,7 @@ from tailadapt.errors import (
     FreezeViolationError,
     FrozenParameterError,
 )
-from tailadapt.evaluation import build_class_bank
+from tailadapt.evaluation import predict_test_split
 from tailadapt.training import (
     DatasetSpec,
     OptimizerState,
@@ -34,7 +33,6 @@ from tailadapt.training import (
     save_checkpoint,
     save_run,
     sgd_momentum_step,
-    train_joint,
     train_phase_a,
     train_phase_b,
     warm_start,
@@ -84,7 +82,7 @@ def test_momentum_zero_is_plain_sgd():
 
 def test_optimizer_refuses_frozen_tensors():
     t = Tensor(np.ones(2))
-    t.frozen = True
+    t.data.flags.writeable = False
     state = OptimizerState.for_params([("w", t)])
     with pytest.raises(FrozenParameterError):
         sgd_momentum_step([("w", t)], {"w": np.ones(2)}, state, 0.1, 0.0)
@@ -105,16 +103,10 @@ def test_zero_epochs_leave_params_at_init():
 
 def test_phase_a_logs_one_record_per_epoch():
     cfg = small_config(epochs_a=4, epochs_b=0)
-    _, log = train_phase_a(cfg)
+    _, log = train_phase_a(cfg, build_dataset(cfg))
     assert [r["epoch"] for r in log] == [1, 2, 3, 4]
     assert all(r["phase"] == "A" for r in log)
     assert all(math.isfinite(r["mean_loss"]) for r in log)
-
-
-def test_phase_a_mode_guard():
-    cfg = small_config(mode="joint")
-    with pytest.raises(ConfigurationError):
-        train_phase_a(cfg)
 
 
 def test_phase_b_preserves_backbone_bit_for_bit():
@@ -148,24 +140,32 @@ def test_phase_b_raises_when_the_backbone_changes_under_it(monkeypatch):
     assert bumped == [True]
 
 
+def test_phase_functions_ignore_mode():
+    # the phases train on the dataset they are given; only run() reads mode
+    outputs = []
+    for mode in ("two_phase", "joint"):
+        cfg = small_config(seed=4, mode=mode, epochs_a=2, epochs_b=2)
+        ds = build_dataset(cfg)
+        params, log_a = train_phase_a(cfg, ds)
+        adapter, log_b = train_phase_b(params, cfg, ds)
+        arrays = params.named_arrays() + [(n, t.data) for n, t in adapter.named_parameters()]
+        outputs.append((digest_arrays(arrays), json.dumps(log_a + log_b)))
+    assert outputs[0] == outputs[1]
+
+
 def test_joint_runs_combined_epoch_count():
     cfg = small_config(mode="joint", epochs_a=3, epochs_b=2)
-    params, adapter, log = train_joint(cfg)
-    assert len(log) == 5
-    assert {r["phase"] for r in log} == {"joint"}
-    assert adapter is not None and params is not None
-
-
-def test_joint_mode_guard():
-    with pytest.raises(ConfigurationError):
-        train_joint(small_config(mode="two_phase"))
+    result = run(cfg)
+    assert len(result.log) == 5
+    assert {r["phase"] for r in result.log} == {"joint"}
+    assert result.adapter is not None and result.params is not None
 
 
 def test_divergence_guard_trips_on_exploding_loss():
     # temperature small enough that the first batch's loss crosses the ceiling
     cfg = small_config(tau=1e-9)
     with pytest.raises(DivergenceError):
-        train_phase_a(cfg)
+        train_phase_a(cfg, build_dataset(cfg))
 
 
 # ---- warm start ----------------------------------------------------------
@@ -197,7 +197,7 @@ def test_warm_start_zero_epochs_is_cold_init():
 def test_warm_start_logs_under_warm_label():
     cfg = small_config(warm_start=True, warm_start_epochs=2, warm_start_per_class=8,
                        epochs_a=1, epochs_b=0)
-    _, log = train_phase_a(cfg)
+    _, log = train_phase_a(cfg, build_dataset(cfg))
     assert [r["phase"] for r in log] == ["warm", "warm", "A"]
 
 
@@ -236,18 +236,8 @@ def test_joint_run_with_warm_start_logs_warm_then_joint():
 
 
 def _test_predictions(result):
-    bank = build_class_bank(result.params, result.adapter)
-    from tailadapt.adapter import adapted_visual
-    from tailadapt.autodiff import Graph
-    from tailadapt.encoders import encode_visual
-
-    g = Graph()
-    x = Tensor(result.dataset.test_features)
-    if result.adapter is not None and result.adapter.adapts_visual:
-        rows = adapted_visual(g, result.params, result.adapter, x)
-    else:
-        rows = encode_visual(g, result.params, x)
-    return predict_batch(rows.data, bank, result.config.tau)
+    return predict_test_split(result.params, result.adapter, result.dataset,
+                              result.config.tau)
 
 
 def test_zero_blend_two_phase_equals_phase_a_only_predictions():
@@ -384,7 +374,7 @@ def test_load_checkpoint_rejects_crafted_array_lists(tmp_path, extra, message):
 
 def test_frozen_view_blocks_direct_updates():
     cfg = small_config(epochs_a=1)
-    params, _ = train_phase_a(cfg)
+    params, _ = train_phase_a(cfg, build_dataset(cfg))
     frozen = freeze(params)
     named = frozen.named_parameters()
     state = OptimizerState.for_params(named)

@@ -35,7 +35,7 @@ TIER1 = ["python", "-m", "pytest", "-q", "--continue-on-collection-errors"]
 SIDES = ("parent", "change")
 
 # the digest matrix: every mode under each of these overrides, per seed,
-# plus one lambda sweep per seed
+# plus one lambda sweep per seed and sweep mode (the sweep ignores the mode)
 MODES = ("two_phase", "phase_a_only", "joint", "zero_shot_baseline")
 VARIANTS = {
     "default": {},
@@ -45,6 +45,7 @@ VARIANTS = {
     "warm_start": {"warm_start": True},
 }
 SWEEP_LAMBDAS = (0.0, 0.2, 0.5, 0.9)
+SWEEP_MODES = ("two_phase", "joint")
 
 
 def seed_list(text: str) -> list[int]:
@@ -201,8 +202,8 @@ def cmd_matrix(args) -> None:
         save_run(run(replace(config, **{f"{kind}_path": p for kind, p in paths.items()})))
         return {kind: Path(p).read_bytes() for kind, p in paths.items()}
 
-    def sweep_rows(seed: int) -> dict:
-        rows = sweep_lambda(RunConfig(seed=seed), SWEEP_LAMBDAS)
+    def sweep_rows(config: RunConfig) -> dict:
+        rows = sweep_lambda(config, SWEEP_LAMBDAS)
         return {f"lambda={row['lambda']}": json.dumps(row).encode() for row in rows}
 
     print(json.dumps({"source": tailadapt.__file__}), flush=True)
@@ -212,8 +213,10 @@ def cmd_matrix(args) -> None:
                 config = RunConfig(seed=seed, mode=mode, **overrides)
                 print(json.dumps(digest_or_error(f"seed={seed} {variant} {mode}",
                                                  lambda: artifacts(config))), flush=True)
-        print(json.dumps(digest_or_error(f"seed={seed} sweep_lambda",
-                                         lambda: sweep_rows(seed))), flush=True)
+        for mode in SWEEP_MODES:
+            config = RunConfig(seed=seed, mode=mode)
+            print(json.dumps(digest_or_error(f"seed={seed} sweep_lambda {mode}",
+                                             lambda: sweep_rows(config))), flush=True)
 
 
 def cmd_digests(args) -> int:

@@ -40,7 +40,7 @@ from .encoders import (
     freeze,
 )
 from .evaluation import Metrics, evaluate, metrics_from_predictions, predict_test_split
-from .experiments import ablation_grid, format_table, run_seeds, sweep_lambda
+from .experiments import ablation_grid, format_table, sweep_lambda
 from .training import (
     DatasetSpec,
     OptimizerState,

@@ -14,8 +14,10 @@ File layout (all integers little-endian):
 
 Array order is preserved exactly, so write -> read -> write reproduces the
 file byte for byte. Adapter parameters are stored under the "adapter/"
-prefix; the backbone digest covers every array outside that prefix, which is
-how the two-phase trainer proves the backbone never moved.
+prefix; the backbone digest covers every array outside that prefix, so
+checkpoints that differ only in their adapter share it. The trainer does not
+use it: `FrozenView.verify()` is what proves the backbone never moved in
+Phase B, by comparing the parameters' digest at freeze and after the phase.
 
 Every file the package writes, in this format or another, goes through
 `replacing`, so a reader never sees a half-written file.

@@ -9,13 +9,12 @@ to allocate). Tables and records go to stdout.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 
 from .data import read_dataset, synth_exponential, synth_pareto, write_dataset
 from .errors import TailAdaptError
-from .evaluation import evaluate
+from .evaluation import evaluate, to_json
 from .experiments import GRID_AXES, ablation_grid, format_table, sweep_lambda
 from .training import (
     MODES,
@@ -34,27 +33,12 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
 
 
-def _jsonable(obj):
-    """Same structure with nan floats (empty metric buckets) as null."""
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, float) and obj != obj:
-        return None
-    return obj
-
-
-def _print_record(record: dict) -> None:
-    print(json.dumps(_jsonable(record)))
-
-
 def _emit_rows(rows: list[dict], as_table: bool) -> None:
     if as_table:
         print(format_table(rows))
     else:
         for row in rows:
-            _print_record(row)
+            print(to_json(row))
 
 
 def cmd_gen_data(args) -> int:
@@ -80,8 +64,8 @@ def cmd_train(args) -> int:
         config = replace(config, seed=args.seed)
     result = run(config)
     save_run(result)
-    _print_record({"mode": config.mode, "seed": config.seed,
-                   **result.metrics.summary()})
+    print(to_json({"mode": config.mode, "seed": config.seed,
+                   **result.metrics.summary()}))
     print(f"wrote {config.checkpoint_path}, {config.log_path}, {config.metrics_path}")
     return 0
 
@@ -98,7 +82,7 @@ def cmd_eval(args) -> int:
         else:
             adapter = replace(adapter, lam=args.lam)
     metrics = evaluate(params, adapter, dataset, args.tau)
-    _print_record(metrics.to_record())
+    print(to_json(metrics.to_record()))
     return 0
 
 

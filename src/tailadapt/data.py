@@ -48,14 +48,40 @@ FEW_THRESHOLD = 20  # strictly below is few-shot
 STRATEGIES = ("instance", "class_balanced", "square_root", "mix_balanced")
 
 
-def exponential_counts(num_classes: int, n_max: int, rho: float) -> np.ndarray:
-    """n_j = round(n_max * rho^(-(j-1)/(K-1))), clamped to at least 1."""
+def _check_profile(num_classes: int, n_max: int) -> None:
     if num_classes < 2:
-        raise ConfigurationError(f"need at least 2 classes, got {num_classes}")
+        raise ConfigurationError(f"num_classes must be >= 2, got {num_classes}")
     if n_max < 1:
         raise ConfigurationError(f"n_max must be >= 1, got {n_max}")
+
+
+def check_exponential(num_classes: int, n_max: int, rho: float) -> None:
+    """The values `exponential_counts` accepts."""
+    _check_profile(num_classes, n_max)
     if not rho >= 1.0:
-        raise InvalidRatioError(f"imbalance ratio must be >= 1, got {rho}")
+        raise InvalidRatioError(f"imbalance ratio rho must be >= 1, got {rho}")
+
+
+def check_pareto(num_classes: int, n_max: int, alpha: float) -> None:
+    """The values `pareto_counts` accepts."""
+    _check_profile(num_classes, n_max)
+    if not alpha > 0.0:
+        raise InvalidPowerError(f"power alpha must be > 0, got {alpha}")
+
+
+def check_clusters(feature_dim: int, sigma: float, test_per_class: int) -> None:
+    """The cluster values the synth_* functions accept."""
+    if not 0.0 <= sigma < np.inf:
+        raise ConfigurationError(f"sigma must be finite and >= 0, got {sigma}")
+    if test_per_class < 1:
+        raise ConfigurationError(f"test_per_class must be >= 1, got {test_per_class}")
+    if feature_dim < 1:
+        raise ConfigurationError(f"feature_dim must be >= 1, got {feature_dim}")
+
+
+def exponential_counts(num_classes: int, n_max: int, rho: float) -> np.ndarray:
+    """n_j = round(n_max * rho^(-(j-1)/(K-1))), clamped to at least 1."""
+    check_exponential(num_classes, n_max, rho)
     j = np.arange(num_classes, dtype=np.float64)
     raw = n_max * rho ** (-j / (num_classes - 1))
     return np.maximum(np.rint(raw), 1.0).astype(np.int64)
@@ -66,12 +92,7 @@ def pareto_counts(num_classes: int, n_max: int, alpha: float) -> np.ndarray:
 
     j = 1 gives exactly n_max, and the sequence is non-increasing in rank.
     """
-    if num_classes < 2:
-        raise ConfigurationError(f"need at least 2 classes, got {num_classes}")
-    if n_max < 1:
-        raise ConfigurationError(f"n_max must be >= 1, got {n_max}")
-    if not alpha > 0.0:
-        raise InvalidPowerError(f"power must be > 0, got {alpha}")
+    check_pareto(num_classes, n_max, alpha)
     j = np.arange(1, num_classes + 1, dtype=np.float64)
     raw = n_max * j ** (-1.0 / alpha)
     return np.maximum(np.rint(raw), 1.0).astype(np.int64)
@@ -79,15 +100,9 @@ def pareto_counts(num_classes: int, n_max: int, alpha: float) -> np.ndarray:
 
 def shot_split(class_counts) -> list[str]:
     """Bucket each class by its training count."""
-    tags = []
-    for c in np.asarray(class_counts):
-        if c > MANY_THRESHOLD:
-            tags.append(SHOT_MANY)
-        elif c < FEW_THRESHOLD:
-            tags.append(SHOT_FEW)
-        else:
-            tags.append(SHOT_MEDIUM)
-    return tags
+    counts = np.asarray(class_counts)
+    return np.select([counts > MANY_THRESHOLD, counts < FEW_THRESHOLD],
+                     [SHOT_MANY, SHOT_FEW], SHOT_MEDIUM).tolist()
 
 
 @dataclass(eq=False)
@@ -195,12 +210,7 @@ def sample_clusters(means: np.ndarray, counts: np.ndarray, test_per_class: int,
 
 def _synth_from_counts(counts: np.ndarray, feature_dim: int, seed: int,
                        sigma: float, test_per_class: int) -> LongTailedDataset:
-    if not 0.0 <= sigma < np.inf:
-        raise ConfigurationError(f"sigma must be finite and >= 0, got {sigma}")
-    if test_per_class < 1:
-        raise ConfigurationError(f"test_per_class must be >= 1, got {test_per_class}")
-    if feature_dim < 1:
-        raise ConfigurationError(f"feature_dim must be >= 1, got {feature_dim}")
+    check_clusters(feature_dim, sigma, test_per_class)
     rng = np.random.default_rng(seed)
     means = rng.normal(size=(counts.shape[0], feature_dim))
     means /= np.linalg.norm(means, axis=1, keepdims=True)

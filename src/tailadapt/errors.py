@@ -38,16 +38,16 @@ class FreezeViolationError(TailAdaptError, RuntimeError):
     """Frozen parameters changed while they were supposed to stay fixed."""
 
 
-class InvalidRatioError(TailAdaptError, ValueError):
+class ConfigurationError(TailAdaptError, ValueError):
+    """A config value, key, strategy, or placement is not supported."""
+
+
+class InvalidRatioError(ConfigurationError):
     """Imbalance ratio must be >= 1."""
 
 
-class InvalidPowerError(TailAdaptError, ValueError):
+class InvalidPowerError(ConfigurationError):
     """Power-law exponent must be strictly positive."""
-
-
-class ConfigurationError(TailAdaptError, ValueError):
-    """A config value, key, strategy, or placement is not supported."""
 
 
 class DatasetFormatError(TailAdaptError, ValueError):

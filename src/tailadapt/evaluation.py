@@ -9,6 +9,7 @@ accuracies recombine exactly to overall.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,22 @@ class Metrics:
                 "medium": self.medium, "few": self.few}
 
 
+def _null_nan(obj):
+    """Same structure with nan floats (empty metric buckets) as null."""
+    if isinstance(obj, dict):
+        return {k: _null_nan(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_null_nan(v) for v in obj]
+    if isinstance(obj, float) and obj != obj:
+        return None
+    return obj
+
+
+def to_json(record, indent: int | None = None) -> str:
+    """Strict JSON text of a record, with nan floats as null."""
+    return json.dumps(_null_nan(record), indent=indent, allow_nan=False)
+
+
 def metrics_from_predictions(predictions, labels, class_counts) -> Metrics:
     """Score predicted class ids against true labels, bucketed by shot group."""
     preds = np.asarray(predictions, dtype=np.int64)
@@ -55,23 +72,23 @@ def metrics_from_predictions(predictions, labels, class_counts) -> Metrics:
     if preds.shape != truth.shape:
         raise DimensionError(f"{preds.shape} predictions vs {truth.shape} labels")
     k = counts.shape[0]
-    tags = shot_split(counts)
     hits = preds == truth
-
-    per_class = np.empty(k)
-    rows_per_class = np.empty(k, dtype=np.int64)
-    for cls in range(k):
-        mask = truth == cls
-        rows_per_class[cls] = int(mask.sum())
-        per_class[cls] = float(hits[mask].mean()) if rows_per_class[cls] else np.nan
+    # labels outside [0, K) count in overall only
+    inside = (truth >= 0) & (truth < k)
+    rows = np.bincount(truth[inside], minlength=k)
+    per_class = np.divide(np.bincount(truth[inside & hits], minlength=k), rows,
+                          out=np.full(k, np.nan), where=rows > 0)
+    # summed in class order as sum(per_class * rows) / n, not hits / n:
+    # (h / t) * t is not always h, and the stored values must not move
+    weighted = per_class * rows
+    tags = np.array(shot_split(counts), dtype=str)
 
     def bucket(tag: str) -> tuple[float, int]:
-        members = [c for c in range(k) if tags[c] == tag]
-        n = int(rows_per_class[members].sum()) if members else 0
+        mask = tags == tag
+        n = int(rows[mask].sum())
         if n == 0:
             return float("nan"), 0
-        weighted = sum(per_class[c] * rows_per_class[c] for c in members)
-        return float(weighted / n), n
+        return float(sum(weighted[mask]) / n), n
 
     many, n_many = bucket(SHOT_MANY)
     medium, n_medium = bucket(SHOT_MEDIUM)

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import replace
-from statistics import median
 
 import numpy as np
 
 from .adapter import PLACEMENTS
 from .errors import ConfigurationError
 from .evaluation import evaluate
-from .training import RunConfig, RunResult, build_dataset, run, train_phase_a, train_phase_b
+from .training import RunConfig, build_dataset, run, train_phase_a, train_phase_b
 
 GRID_AXES = {
     "placement": PLACEMENTS,
@@ -49,47 +48,19 @@ def sweep_lambda(config: RunConfig, values) -> list[dict]:
 
 
 def ablation_grid(config: RunConfig, axes) -> list[dict]:
-    """Cartesian product over named axes, one full run per cell.
-
-    `axes` is either a list of axis names (each expanded to its canonical
-    values) or a mapping from axis name to an explicit value list.
-    """
-    if isinstance(axes, dict):
-        named = {name: tuple(vals) for name, vals in axes.items()}
-    else:
-        named = {name: GRID_AXES.get(name) for name in axes}
-    for name, vals in named.items():
+    """Cartesian product over the named axes, each expanded to its canonical
+    values, one full run per cell. A name given twice counts once."""
+    names = list(dict.fromkeys(axes))
+    for name in names:
         if name not in GRID_AXES:
             raise ConfigurationError(
                 f"unknown ablation axis {name!r}; choose from {tuple(GRID_AXES)}")
-        if not vals:
-            raise ConfigurationError(f"ablation axis {name!r} has no values")
-        for v in vals:
-            if v not in GRID_AXES[name]:
-                raise ConfigurationError(f"invalid value {v!r} for axis {name!r}")
-
-    names = list(named)
     rows = []
-    for combo in itertools.product(*(named[n] for n in names)):
-        cfg = config
-        for name, value in zip(names, combo):
-            cfg = replace(cfg, **{_AXIS_FIELDS.get(name, name): value})
-        result = run(cfg)
-        row = {name: value for name, value in zip(names, combo)}
-        row["seed"] = cfg.seed
-        row.update(result.metrics.summary())
-        rows.append(row)
+    for combo in itertools.product(*(GRID_AXES[name] for name in names)):
+        cell = dict(zip(names, combo))
+        result = run(replace(config, **{_AXIS_FIELDS.get(n, n): v for n, v in cell.items()}))
+        rows.append({**cell, "seed": config.seed, **result.metrics.summary()})
     return rows
-
-
-def run_seeds(config: RunConfig, seeds) -> list[RunResult]:
-    """The same config under several seeds, for median-based comparisons."""
-    return [run(replace(config, seed=int(s))) for s in seeds]
-
-
-def median_metric(results, name: str) -> float:
-    """Median of one Metrics field (overall/many/medium/few) across runs."""
-    return float(median(getattr(r.metrics, name) for r in results))
 
 
 def format_table(rows: list[dict]) -> str:

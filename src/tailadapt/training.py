@@ -29,6 +29,9 @@ from .data import (
     STRATEGIES,
     LongTailedDataset,
     SamplerState,
+    check_clusters,
+    check_exponential,
+    check_pareto,
     draw_batch,
     read_dataset,
     sample_clusters,
@@ -59,7 +62,7 @@ from .errors import (
     FreezeViolationError,
     FrozenParameterError,
 )
-from .evaluation import Metrics, evaluate
+from .evaluation import Metrics, evaluate, to_json
 
 MODES = ("two_phase", "phase_a_only", "joint", "zero_shot_baseline")
 DATASET_KINDS = ("exponential", "pareto", "file")
@@ -87,8 +90,15 @@ class DatasetSpec:
         if self.kind not in DATASET_KINDS:
             raise ConfigurationError(
                 f"dataset kind must be one of {DATASET_KINDS}, got {self.kind!r}")
-        if self.kind == "file" and not self.path:
-            raise ConfigurationError("dataset kind 'file' needs a path")
+        if self.kind == "file":
+            if not self.path:
+                raise ConfigurationError("dataset kind 'file' needs a path")
+            return
+        if self.kind == "exponential":
+            check_exponential(self.num_classes, self.n_max, self.rho)
+        else:
+            check_pareto(self.num_classes, self.n_max, self.alpha)
+        check_clusters(self.feature_dim, self.sigma, self.test_per_class)
 
 
 @dataclass(frozen=True)
@@ -529,7 +539,6 @@ def save_run(result: RunResult) -> None:
     save_checkpoint(config.checkpoint_path, result.params, result.adapter)
     with replacing(config.log_path, "w") as f:
         for record in result.log:
-            f.write(json.dumps(record) + "\n")
+            f.write(to_json(record) + "\n")
     with replacing(config.metrics_path, "w") as f:
-        json.dump(result.metrics.to_record(), f, indent=2)
-        f.write("\n")
+        f.write(to_json(result.metrics.to_record(), indent=2) + "\n")

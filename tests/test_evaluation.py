@@ -1,20 +1,17 @@
 """Metric bookkeeping, sweeps, and ablation grids."""
 
+import json
+
 import numpy as np
 import pytest
 
 from conftest import small_config
 from tailadapt import experiments
 from tailadapt.adapter import AdapterParams
+from tailadapt.data import shot_split
 from tailadapt.errors import ConfigurationError, DimensionError
 from tailadapt.evaluation import build_class_bank, evaluate, metrics_from_predictions
-from tailadapt.experiments import (
-    ablation_grid,
-    format_table,
-    median_metric,
-    run_seeds,
-    sweep_lambda,
-)
+from tailadapt.experiments import ablation_grid, format_table, sweep_lambda
 from tailadapt.training import build_dataset, run, train_phase_a
 
 # counts spanning all three shot buckets: >100, 20..100, <20
@@ -57,6 +54,63 @@ def test_empty_bucket_reports_nan_and_zero_rows():
     m = metrics_from_predictions(y, y, counts)
     assert np.isnan(m.medium) and np.isnan(m.few)
     assert m.n_eval == {"many": 8, "medium": 0, "few": 0}
+
+
+def _reference_record(preds, truth, counts) -> dict:
+    """Per-class loop over classes, then over each bucket's members."""
+    k = len(counts)
+    tags = shot_split(counts)
+    hits = preds == truth
+    per_class, rows = [], []
+    for cls in range(k):
+        mask = truth == cls
+        rows.append(int(mask.sum()))
+        per_class.append(float(hits[mask].mean()) if rows[-1] else float("nan"))
+    record = {"overall": float(hits.mean())}
+    n_eval = {}
+    for tag in ("many", "medium", "few"):
+        members = [c for c in range(k) if tags[c] == tag]
+        n = sum(rows[c] for c in members)
+        weighted = sum(np.float64(per_class[c]) * np.int64(rows[c]) for c in members)
+        record[tag] = float(weighted / n) if n else float("nan")
+        n_eval[tag] = n
+    return {**record, "per_class": per_class, "n_eval": n_eval}
+
+
+def _random_case(rng, per_class):
+    """Predictions over K random shot groups: per_class test rows of every
+    class, or (per_class None) unbalanced labels with empty classes and
+    labels outside [0, K)."""
+    k = int(rng.integers(1, 12))
+    counts = rng.choice([150, 101, 100, 60, 20, 19, 4, 1], size=k)
+    if per_class is None:
+        present = rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False)
+        truth = rng.choice(np.concatenate([present, [-1, k, k + 3]]),
+                           size=int(rng.integers(1, 120)))
+    else:
+        truth = np.repeat(np.arange(k), per_class)
+    preds = np.where(rng.random(truth.size) < rng.random(), truth,
+                     rng.integers(0, k, truth.size))
+    return preds, truth, counts
+
+
+@pytest.mark.parametrize("per_class", [None, 22, 49, 50], ids=["unbalanced", "t22", "t49", "t50"])
+def test_metrics_match_a_per_class_reference_loop(per_class):
+    rng = np.random.default_rng(per_class or 0)
+    for _ in range(150):
+        preds, truth, counts = _random_case(rng, per_class)
+        got = metrics_from_predictions(preds, truth, counts).to_record()
+        assert json.dumps(got) == json.dumps(_reference_record(preds, truth, counts))
+
+
+@pytest.mark.parametrize("t,hits", [(22, (1, 15)), (49, (1, 2)), (50, (1, 14))])
+def test_bucket_sums_per_class_accuracy_times_rows(t, hits):
+    # two few-shot classes of t test rows; class c gets its first hits[c] right
+    truth = np.repeat([0, 1], t)
+    preds = np.where(np.arange(2 * t) % t < np.repeat(hits, t), truth, 1 - truth)
+    m = metrics_from_predictions(preds, truth, [4, 4])
+    assert m.few == _reference_record(preds, truth, [4, 4])["few"]
+    assert m.few != sum(hits) / (2 * t)  # hits / n rounds differently here
 
 
 def test_shape_mismatch_rejected():
@@ -156,31 +210,25 @@ def test_grid_balance_axes_mirror_four_cells():
 
 def test_grid_cells_reproduce_independently():
     cfg = small_config(epochs_a=1, epochs_b=1)
-    rows = ablation_grid(cfg, {"placement": ("language",)})
+    rows = ablation_grid(cfg, ["placement"])
+    assert [r["placement"] for r in rows] == ["visual", "language", "both"]
+    language = rows[1]
     from dataclasses import replace
     rerun = run(replace(cfg, placement="language"))
-    assert rows[0]["overall"] == rerun.metrics.overall
-    assert rows[0]["few"] == rerun.metrics.few
+    assert language["overall"] == rerun.metrics.overall
+    assert language["few"] == rerun.metrics.few
 
 
-def test_grid_rejects_unknown_axes_and_values():
-    with pytest.raises(ConfigurationError):
-        ablation_grid(small_config(), ["optimizer"])
-    with pytest.raises(ConfigurationError):
-        ablation_grid(small_config(), {"placement": ("audio",)})
-    with pytest.raises(ConfigurationError):
-        ablation_grid(small_config(), {"placement": ()})
+def test_grid_counts_a_repeated_axis_once():
+    cfg = small_config(epochs_a=1, epochs_b=0)
+    rows = ablation_grid(cfg, ["sampler", "sampler"])
+    assert [list(r)[:2] for r in rows] == [["sampler", "seed"]] * 3
+    assert [r["sampler"] for r in rows] == ["class_balanced", "square_root", "mix_balanced"]
 
 
-# ---- seed protocol ----------------------------------------------------------
-
-
-def test_run_seeds_median():
-    cfg = small_config(epochs_a=1, epochs_b=1)
-    results = run_seeds(cfg, (0, 1, 2))
-    overall = sorted(r.metrics.overall for r in results)
-    assert median_metric(results, "overall") == overall[1]
-    assert [r.config.seed for r in results] == [0, 1, 2]
+def test_grid_rejects_unknown_axes():
+    with pytest.raises(ConfigurationError, match="optimizer"):
+        ablation_grid(small_config(), ["placement", "optimizer"])
 
 
 # ---- table rendering ---------------------------------------------------------

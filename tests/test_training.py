@@ -325,6 +325,24 @@ def test_save_run_failing_midway_keeps_earlier_files(tmp_path):
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+def _refuse_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def test_save_run_writes_empty_buckets_as_null(tmp_path):
+    cfg = small_config(seed=1, epochs_a=1, epochs_b=1,
+                       checkpoint_path=str(tmp_path / "m.ltck"),
+                       log_path=str(tmp_path / "log.jsonl"),
+                       metrics_path=str(tmp_path / "metrics.json"))
+    result = run(cfg)
+    assert math.isnan(result.metrics.many)  # no class of small_config has > 100 rows
+    save_run(result)
+    saved = json.loads(open(cfg.metrics_path).read(), parse_constant=_refuse_constant)
+    assert saved["many"] is None and saved["overall"] == result.metrics.overall
+    lines = [json.loads(line, parse_constant=_refuse_constant) for line in open(cfg.log_path)]
+    assert lines and all(line["many"] is None for line in lines)
+
+
 def test_checkpoint_round_trip_through_model_layer(tmp_path):
     cfg = small_config(seed=4, epochs_a=1, epochs_b=1, placement="both")
     result = run(cfg)
@@ -441,6 +459,21 @@ def test_configs_are_checked_when_built():
         replace(RunConfig(), lam=1.5)
     with pytest.raises(ConfigurationError, match="path"):
         DatasetSpec(kind="file")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("num_classes", 1), ("n_max", 0), ("rho", 0.5), ("alpha", 0.0),
+    ("feature_dim", 0), ("sigma", -1.0), ("test_per_class", 0),
+])
+def test_dataset_values_are_checked_when_built(field, value):
+    kind = "pareto" if field == "alpha" else "exponential"
+    with pytest.raises(ConfigurationError, match=field):
+        DatasetSpec(kind=kind, **{field: value})
+
+
+def test_file_dataset_ignores_synthesis_values():
+    spec = DatasetSpec(kind="file", path="d.ltds", num_classes=1, rho=0.5, feature_dim=0)
+    assert spec.num_classes == 1
 
 
 def test_configs_are_immutable():

@@ -15,9 +15,9 @@ side's median and quartiles, per-pair wins and the change/parent ratio for
 every metric, judged against the bounds in BENCHMARK.json; a workload with
 runs from one side only is listed under "incomplete" instead. `digests` runs
 the fixed config matrix below in both checkouts at once and compares the
-sha256 of every checkpoint, log, metrics file and sweep row; it prints
-matched/total and each mismatch, and exits 1 on any. Run it from the root
-of the changed checkout; every run happens in its own checkout.
+sha256 of every checkpoint, log, metrics file, sweep row and grid row; it
+prints matched/total and each mismatch, and exits 1 on any. Run it from the
+root of the changed checkout; every run happens in its own checkout.
 """
 
 import argparse
@@ -36,6 +36,7 @@ SIDES = ("parent", "change")
 
 # the digest matrix: every mode under each of these overrides, per seed,
 # plus one lambda sweep per seed and sweep mode (the sweep ignores the mode)
+# and one ablation grid per seed over ABLATION_AXES
 MODES = ("two_phase", "phase_a_only", "joint", "zero_shot_baseline")
 VARIANTS = {
     "default": {},
@@ -46,6 +47,7 @@ VARIANTS = {
 }
 SWEEP_LAMBDAS = (0.0, 0.2, 0.5, 0.9)
 SWEEP_MODES = ("two_phase", "joint")
+ABLATION_AXES = ["placement", "sampler"]
 
 
 def seed_list(text: str) -> list[int]:
@@ -192,7 +194,7 @@ def cmd_matrix(args) -> None:
     from dataclasses import replace
 
     import tailadapt
-    from tailadapt.experiments import sweep_lambda
+    from tailadapt.experiments import ablation_grid, sweep_lambda
     from tailadapt.training import RunConfig, run, save_run
 
     paths = {kind: os.path.join(args.tmp, f"{kind}.out")
@@ -206,6 +208,10 @@ def cmd_matrix(args) -> None:
         rows = sweep_lambda(config, SWEEP_LAMBDAS)
         return {f"lambda={row['lambda']}": json.dumps(row).encode() for row in rows}
 
+    def grid_rows(config: RunConfig) -> dict:
+        rows = ablation_grid(config, ABLATION_AXES)
+        return {f"cell={i}": json.dumps(row).encode() for i, row in enumerate(rows)}
+
     print(json.dumps({"source": tailadapt.__file__}), flush=True)
     for seed in seed_list(args.seeds):
         for variant, overrides in VARIANTS.items():
@@ -217,6 +223,8 @@ def cmd_matrix(args) -> None:
             config = RunConfig(seed=seed, mode=mode)
             print(json.dumps(digest_or_error(f"seed={seed} sweep_lambda {mode}",
                                              lambda: sweep_rows(config))), flush=True)
+        print(json.dumps(digest_or_error(f"seed={seed} ablation_grid",
+                                         lambda: grid_rows(RunConfig(seed=seed)))), flush=True)
 
 
 def cmd_digests(args) -> int:

@@ -20,6 +20,7 @@ from .contrastive import (
     zero_shot_probs,
 )
 from .data import (
+    DatasetSpec,
     LongTailedDataset,
     SamplerState,
     draw,
@@ -42,7 +43,6 @@ from .encoders import (
 from .evaluation import Metrics, evaluate, metrics_from_predictions, predict_test_split
 from .experiments import ablation_grid, format_table, sweep_lambda
 from .training import (
-    DatasetSpec,
     OptimizerState,
     RunConfig,
     RunResult,

@@ -12,18 +12,11 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .data import read_dataset, synth_exponential, synth_pareto, write_dataset
+from .data import DatasetSpec, read_dataset, write_dataset
 from .errors import TailAdaptError
 from .evaluation import evaluate, to_json
 from .experiments import GRID_AXES, ablation_grid, format_table, sweep_lambda
-from .training import (
-    MODES,
-    DatasetSpec,
-    load_checkpoint,
-    load_config,
-    run,
-    save_run,
-)
+from .training import MODES, load_checkpoint, load_config, run, save_run
 
 
 def _float_list(text: str) -> list[float]:
@@ -42,14 +35,11 @@ def _emit_rows(rows: list[dict], as_table: bool) -> None:
 
 
 def cmd_gen_data(args) -> int:
-    if args.kind == "exp":
-        ds = synth_exponential(args.classes, args.n_max, args.rho, args.dim,
-                               seed=args.seed, sigma=args.sigma,
-                               test_per_class=args.test_per_class)
-    else:
-        ds = synth_pareto(args.classes, args.n_max, args.alpha, args.dim,
-                          seed=args.seed, sigma=args.sigma,
-                          test_per_class=args.test_per_class)
+    spec = DatasetSpec("exponential" if args.kind == "exp" else args.kind,
+                       num_classes=args.classes, n_max=args.n_max, rho=args.rho,
+                       alpha=args.alpha, feature_dim=args.dim, sigma=args.sigma,
+                       test_per_class=args.test_per_class)
+    ds = spec.synthesize(args.seed)
     write_dataset(ds, args.out)
     print(f"wrote {args.out}: {ds.n_train} train rows, "
           f"{ds.n_test} test rows, {ds.num_classes} classes")

@@ -46,6 +46,7 @@ MANY_THRESHOLD = 100  # strictly above is many-shot
 FEW_THRESHOLD = 20  # strictly below is few-shot
 
 STRATEGIES = ("instance", "class_balanced", "square_root", "mix_balanced")
+DATASET_KINDS = ("exponential", "pareto", "file")
 
 
 def _check_profile(num_classes: int, n_max: int) -> None:
@@ -67,16 +68,6 @@ def check_pareto(num_classes: int, n_max: int, alpha: float) -> None:
     _check_profile(num_classes, n_max)
     if not alpha > 0.0:
         raise InvalidPowerError(f"power alpha must be > 0, got {alpha}")
-
-
-def check_clusters(feature_dim: int, sigma: float, test_per_class: int) -> None:
-    """The cluster values the synth_* functions accept."""
-    if not 0.0 <= sigma < np.inf:
-        raise ConfigurationError(f"sigma must be finite and >= 0, got {sigma}")
-    if test_per_class < 1:
-        raise ConfigurationError(f"test_per_class must be >= 1, got {test_per_class}")
-    if feature_dim < 1:
-        raise ConfigurationError(f"feature_dim must be >= 1, got {feature_dim}")
 
 
 def exponential_counts(num_classes: int, n_max: int, rho: float) -> np.ndarray:
@@ -208,29 +199,71 @@ def sample_clusters(means: np.ndarray, counts: np.ndarray, test_per_class: int,
                              class_means=means, noise_sigma=sigma)
 
 
-def _synth_from_counts(counts: np.ndarray, feature_dim: int, seed: int,
-                       sigma: float, test_per_class: int) -> LongTailedDataset:
-    check_clusters(feature_dim, sigma, test_per_class)
-    rng = np.random.default_rng(seed)
-    means = rng.normal(size=(counts.shape[0], feature_dim))
-    means /= np.linalg.norm(means, axis=1, keepdims=True)
-    return sample_clusters(means, counts, test_per_class, sigma, rng)
+@dataclass(frozen=True)
+class DatasetSpec:
+    """Where the training data comes from: synthesized or read from a file.
+    Building one checks the values its kind uses; `kind: file` uses only
+    the path."""
+
+    kind: str = "exponential"
+    num_classes: int = 20
+    n_max: int = 200
+    rho: float = 40.0
+    alpha: float = 6.0
+    feature_dim: int = 16
+    sigma: float = 0.35
+    test_per_class: int = 20
+    path: str | None = None
+
+    def __post_init__(self):
+        if self.kind not in DATASET_KINDS:
+            raise ConfigurationError(
+                f"dataset kind must be one of {DATASET_KINDS}, got {self.kind!r}")
+        if self.kind == "file":
+            if not self.path:
+                raise ConfigurationError("dataset kind 'file' needs a path")
+            return
+        if self.kind == "exponential":
+            check_exponential(self.num_classes, self.n_max, self.rho)
+        else:
+            check_pareto(self.num_classes, self.n_max, self.alpha)
+        if not 0.0 <= self.sigma < np.inf:
+            raise ConfigurationError(f"sigma must be finite and >= 0, got {self.sigma}")
+        if self.test_per_class < 1:
+            raise ConfigurationError(
+                f"test_per_class must be >= 1, got {self.test_per_class}")
+        if self.feature_dim < 1:
+            raise ConfigurationError(f"feature_dim must be >= 1, got {self.feature_dim}")
+
+    def synthesize(self, seed) -> LongTailedDataset:
+        """Gaussian clusters around unit-norm means, with the kind's train
+        counts. Not for `kind: file`, which `read_dataset` loads."""
+        if self.kind == "exponential":
+            counts = exponential_counts(self.num_classes, self.n_max, self.rho)
+        elif self.kind == "pareto":
+            counts = pareto_counts(self.num_classes, self.n_max, self.alpha)
+        else:
+            raise ConfigurationError("a 'file' dataset is read, not synthesized")
+        rng = np.random.default_rng(seed)
+        means = rng.normal(size=(self.num_classes, self.feature_dim))
+        means /= np.linalg.norm(means, axis=1, keepdims=True)
+        return sample_clusters(means, counts, self.test_per_class, self.sigma, rng)
 
 
 def synth_exponential(num_classes: int, n_max: int, rho: float, feature_dim: int,
                       seed: int, sigma: float = 0.35,
                       test_per_class: int = 20) -> LongTailedDataset:
     """Gaussian clusters with exponentially decaying train counts."""
-    counts = exponential_counts(num_classes, n_max, rho)
-    return _synth_from_counts(counts, feature_dim, seed, sigma, test_per_class)
+    return DatasetSpec("exponential", num_classes, n_max, rho=rho, feature_dim=feature_dim,
+                       sigma=sigma, test_per_class=test_per_class).synthesize(seed)
 
 
 def synth_pareto(num_classes: int, n_max: int, alpha: float, feature_dim: int,
                  seed: int, sigma: float = 0.35,
                  test_per_class: int = 20) -> LongTailedDataset:
     """Gaussian clusters with rank-power-law train counts."""
-    counts = pareto_counts(num_classes, n_max, alpha)
-    return _synth_from_counts(counts, feature_dim, seed, sigma, test_per_class)
+    return DatasetSpec("pareto", num_classes, n_max, alpha=alpha, feature_dim=feature_dim,
+                       sigma=sigma, test_per_class=test_per_class).synthesize(seed)
 
 
 # ---- samplers ---------------------------------------------------------------

@@ -14,7 +14,7 @@ stayed untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -32,10 +32,14 @@ SEED_ADAPTER_INIT = 5
 SEED_PHASE_B_SAMPLER = 6
 SEED_JOINT_SAMPLER = 7
 
+# the ModelConfig widths bound from the dataset at run time; None until then
+BOUND_WIDTHS = ("input_dim", "num_classes")
 
-@dataclass
+
+@dataclass(frozen=True)
 class ModelConfig:
-    """Widths of the two encoder stacks.
+    """Widths of the two encoder stacks. Building one, or replace()-ing a
+    field of one, checks that every width is >= 1.
 
     input_dim and num_classes are bound from the dataset at run time, which
     is why they default to None here.
@@ -49,16 +53,17 @@ class ModelConfig:
     text_dim: int = 32
     shared_dim: int = 24
 
+    def __post_init__(self):
+        widths = {f.name: getattr(self, f.name) for f in fields(self)}
+        widths.update((f"hidden[{i}]", w) for i, w in enumerate(widths.pop("hidden")))
+        for name, width in widths.items():
+            if width is None and name in BOUND_WIDTHS:
+                continue
+            if not width >= 1:
+                raise ConfigurationError(f"model width {name} must be >= 1, got {width}")
+
     def bound(self, input_dim: int, num_classes: int) -> "ModelConfig":
         return replace(self, input_dim=input_dim, num_classes=num_classes)
-
-    def validate(self) -> None:
-        if self.input_dim is None or self.num_classes is None:
-            raise ConfigurationError("model config missing input_dim/num_classes")
-        dims = (self.input_dim, self.num_classes, self.visual_dim, self.embed_dim,
-                self.text_dim, self.shared_dim, *self.hidden)
-        if any(int(d) <= 0 for d in dims):
-            raise ConfigurationError(f"model dims must be positive, got {self}")
 
     def layout(self) -> dict[str, tuple[int, ...]]:
         """Every backbone tensor's checkpoint name and shape, in checkpoint order."""
@@ -84,8 +89,8 @@ class ModelConfig:
     def from_shapes(cls, shapes: dict[str, tuple[int, ...]]) -> "ModelConfig":
         """The widths read off a few of the shapes layout() would give.
 
-        A missing or non-2-d array reads as width 0. Nothing is checked here:
-        compare every shape against the result's layout(), then validate().
+        A missing or non-2-d array reads as width 0, which building the
+        result rejects. Compare every shape against its layout() after.
         """
 
         def dims(name: str) -> tuple[int, ...]:
@@ -131,7 +136,8 @@ class ModelParams:
     def init(cls, config: ModelConfig, seed: int | np.random.Generator) -> "ModelParams":
         """Uniform weights and embeddings, zero biases (see init_array). Fan-in
         is a weight's row count and an embedding's width."""
-        config.validate()
+        if config.input_dim is None or config.num_classes is None:
+            raise ConfigurationError("model config missing input_dim/num_classes")
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         layout = config.layout()
         drawn = {}

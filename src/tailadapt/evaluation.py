@@ -84,7 +84,8 @@ def metrics_from_predictions(predictions, labels, class_counts) -> Metrics:
     tags = np.array(shot_split(counts), dtype=str)
 
     def bucket(tag: str) -> tuple[float, int]:
-        mask = tags == tag
+        # a class without rows has nan accuracy and adds nothing
+        mask = (tags == tag) & (rows > 0)
         n = int(rows[mask].sum())
         if n == 0:
             return float("nan"), 0

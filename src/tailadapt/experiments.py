@@ -9,6 +9,7 @@ run under the same seed so differences come from the axis values alone.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import replace
 
 import numpy as np
@@ -50,6 +51,9 @@ def sweep_lambda(config: RunConfig, values) -> list[dict]:
 def ablation_grid(config: RunConfig, axes) -> list[dict]:
     """Cartesian product over the named axes, each expanded to its canonical
     values, one full run per cell. A name given twice counts once."""
+    if isinstance(axes, (str, Mapping)):
+        raise ConfigurationError(
+            f"axes must be a list of axis names from {tuple(GRID_AXES)}, got {axes!r}")
     names = list(dict.fromkeys(axes))
     for name in names:
         if name not in GRID_AXES:

@@ -27,18 +27,15 @@ from .checkpoint import ADAPTER_PREFIX, read_arrays, replacing, write_arrays
 from .contrastive import BatchPair, loss_l2v, loss_v2l
 from .data import (
     STRATEGIES,
+    DatasetSpec,
     LongTailedDataset,
     SamplerState,
-    check_clusters,
-    check_exponential,
-    check_pareto,
     draw_batch,
     read_dataset,
     sample_clusters,
-    synth_exponential,
-    synth_pareto,
 )
 from .encoders import (
+    BOUND_WIDTHS,
     SEED_ADAPTER_INIT,
     SEED_DATA,
     SEED_INIT,
@@ -65,40 +62,10 @@ from .errors import (
 from .evaluation import Metrics, evaluate, to_json
 
 MODES = ("two_phase", "phase_a_only", "joint", "zero_shot_baseline")
-DATASET_KINDS = ("exponential", "pareto", "file")
 DIVERGENCE_CEILING = 1e6
 
 
 # ---- configuration ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DatasetSpec:
-    """Where the training data comes from: synthesized or read from a file."""
-
-    kind: str = "exponential"
-    num_classes: int = 20
-    n_max: int = 200
-    rho: float = 40.0
-    alpha: float = 6.0
-    feature_dim: int = 16
-    sigma: float = 0.35
-    test_per_class: int = 20
-    path: str | None = None
-
-    def __post_init__(self):
-        if self.kind not in DATASET_KINDS:
-            raise ConfigurationError(
-                f"dataset kind must be one of {DATASET_KINDS}, got {self.kind!r}")
-        if self.kind == "file":
-            if not self.path:
-                raise ConfigurationError("dataset kind 'file' needs a path")
-            return
-        if self.kind == "exponential":
-            check_exponential(self.num_classes, self.n_max, self.rho)
-        else:
-            check_pareto(self.num_classes, self.n_max, self.alpha)
-        check_clusters(self.feature_dim, self.sigma, self.test_per_class)
 
 
 @dataclass(frozen=True)
@@ -162,7 +129,7 @@ class RunConfig:
         for name, key in _FILE_KEYS.items():
             raw[key] = raw.pop(name)
         raw["model"]["hidden"] = list(self.model.hidden)
-        for name in _BOUND_WIDTHS:
+        for name in BOUND_WIDTHS:
             del raw["model"][name]
         return raw
 
@@ -173,8 +140,6 @@ class RunConfig:
 
 # field -> config file key where they differ: "lambda" is a python keyword
 _FILE_KEYS = {"lam": "lambda"}
-# the ModelConfig widths bound from the dataset at run time; no file sets them
-_BOUND_WIDTHS = ("input_dim", "num_classes")
 
 
 def _read_section(cls, data, prefix: str):
@@ -184,8 +149,9 @@ def _read_section(cls, data, prefix: str):
     if not isinstance(data, dict):
         where = f"section {prefix[:-1]!r}" if prefix else "root"
         raise ConfigurationError(f"config {where} must be a mapping")
+    # the bound widths come from the dataset, never from a file
     fields = {_FILE_KEYS.get(name, name): f for name, f in cls.__dataclass_fields__.items()
-              if not (cls is ModelConfig and name in _BOUND_WIDTHS)}
+              if not (cls is ModelConfig and name in BOUND_WIDTHS)}
     values = {}
     for key, value in data.items():
         if key not in fields:
@@ -281,14 +247,7 @@ def build_dataset(config: RunConfig) -> LongTailedDataset:
     spec = config.dataset
     if spec.kind == "file":
         return read_dataset(spec.path)
-    seed = [config.seed, SEED_DATA]
-    if spec.kind == "exponential":
-        return synth_exponential(spec.num_classes, spec.n_max, spec.rho,
-                                 spec.feature_dim, seed=seed, sigma=spec.sigma,
-                                 test_per_class=spec.test_per_class)
-    return synth_pareto(spec.num_classes, spec.n_max, spec.alpha,
-                        spec.feature_dim, seed=seed, sigma=spec.sigma,
-                        test_per_class=spec.test_per_class)
+    return spec.synthesize([config.seed, SEED_DATA])
 
 
 def init_params(config: RunConfig, dataset: LongTailedDataset) -> ModelParams:
@@ -501,7 +460,10 @@ def load_checkpoint(path) -> tuple[ModelParams, AdapterParams | None]:
     table = dict(arrays)
     if len(table) != len(arrays):
         raise CheckpointFormatError(f"{path}: duplicate array names")
-    config = ModelConfig.from_shapes({name: arr.shape for name, arr in table.items()})
+    try:
+        config = ModelConfig.from_shapes({name: arr.shape for name, arr in table.items()})
+    except ConfigurationError as exc:
+        raise CheckpointFormatError(f"{path}: {exc}") from exc
     layout = config.layout()
     adapter_layout, placement = {}, None
     if any(name.startswith(ADAPTER_PREFIX) for name in table):
@@ -523,10 +485,6 @@ def load_checkpoint(path) -> tuple[ModelParams, AdapterParams | None]:
     unknown = table.keys() - expected.keys()
     if unknown:
         raise CheckpointFormatError(f"{path}: unknown arrays {sorted(unknown)}")
-    try:
-        config.validate()
-    except ConfigurationError as exc:
-        raise CheckpointFormatError(f"{path}: {exc}") from exc
     params = ModelParams(config, {name: Tensor(table[name]) for name in layout})
     adapter = None if placement is None else AdapterParams(
         float(lam[0]), placement, {name: Tensor(table[name]) for name in adapter_layout})

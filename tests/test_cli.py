@@ -248,6 +248,14 @@ def test_train_rejects_negative_sizes(tmp_path, capsys, extra):
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
 
 
+def test_train_names_a_bad_width_before_reading_the_dataset(tmp_path, capsys):
+    cfg_path, _ = _config_file(tmp_path, tmp_path / "missing.ltds", model={"hidden": [0]})
+    rc = main(["train", "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and "hidden[0]" in err and "missing.ltds" not in err
+
+
 @pytest.mark.parametrize("extra,key", [
     ({"tau": "x"}, "tau"),
     ({"epochs_a": 1.5}, "epochs_a"),

@@ -56,8 +56,17 @@ def test_empty_bucket_reports_nan_and_zero_rows():
     assert m.n_eval == {"many": 8, "medium": 0, "few": 0}
 
 
+def test_bucket_skips_a_class_without_rows():
+    # class 1 is few-shot like class 0 but has no test rows
+    m = metrics_from_predictions([0, 0, 0], [0, 0, 0], [5, 5])
+    assert m.few == 1.0 and m.overall == 1.0
+    assert m.n_eval == {"many": 0, "medium": 0, "few": 3}
+    assert np.isnan(m.per_class[1])
+
+
 def _reference_record(preds, truth, counts) -> dict:
-    """Per-class loop over classes, then over each bucket's members."""
+    """Per-class loop over classes, then over each bucket's members that
+    have rows."""
     k = len(counts)
     tags = shot_split(counts)
     hits = preds == truth
@@ -69,7 +78,7 @@ def _reference_record(preds, truth, counts) -> dict:
     record = {"overall": float(hits.mean())}
     n_eval = {}
     for tag in ("many", "medium", "few"):
-        members = [c for c in range(k) if tags[c] == tag]
+        members = [c for c in range(k) if tags[c] == tag and rows[c]]
         n = sum(rows[c] for c in members)
         weighted = sum(np.float64(per_class[c]) * np.int64(rows[c]) for c in members)
         record[tag] = float(weighted / n) if n else float("nan")
@@ -229,6 +238,13 @@ def test_grid_counts_a_repeated_axis_once():
 def test_grid_rejects_unknown_axes():
     with pytest.raises(ConfigurationError, match="optimizer"):
         ablation_grid(small_config(), ["placement", "optimizer"])
+
+
+@pytest.mark.parametrize("axes", ["placement", {"placement": ("visual",)}],
+                         ids=["string", "mapping"])
+def test_grid_rejects_axes_that_are_not_a_list_of_names(axes):
+    with pytest.raises(ConfigurationError, match="list of axis names from .*'placement'"):
+        ablation_grid(small_config(), axes)
 
 
 # ---- table rendering ---------------------------------------------------------

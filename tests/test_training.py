@@ -476,9 +476,26 @@ def test_file_dataset_ignores_synthesis_values():
     assert spec.num_classes == 1
 
 
+def test_file_dataset_is_not_synthesized():
+    with pytest.raises(ConfigurationError, match="read, not synthesized"):
+        DatasetSpec(kind="file", path="d.ltds").synthesize(0)
+
+
 def test_configs_are_immutable():
     cfg = RunConfig()
     with pytest.raises(FrozenInstanceError):
         cfg.seed = 1
     with pytest.raises(FrozenInstanceError):
         cfg.dataset.kind = "file"
+    with pytest.raises(FrozenInstanceError):
+        cfg.model.hidden = (0,)
+
+
+@pytest.mark.parametrize("model,name", [
+    ({"visual_dim": 0}, "visual_dim"), ({"embed_dim": 0}, "embed_dim"),
+    ({"text_dim": -1}, "text_dim"), ({"shared_dim": 0}, "shared_dim"),
+    ({"hidden": [8, 0]}, r"hidden\[1\]"),
+], ids=["visual_dim", "embed_dim", "text_dim", "shared_dim", "hidden"])
+def test_model_widths_are_checked_when_built(model, name):
+    with pytest.raises(ConfigurationError, match=name):
+        RunConfig.from_dict({"model": model})

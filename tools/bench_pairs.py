@@ -15,9 +15,10 @@ side's median and quartiles, per-pair wins and the change/parent ratio for
 every metric, judged against the bounds in BENCHMARK.json; a workload with
 runs from one side only is listed under "incomplete" instead. `digests` runs
 the fixed config matrix below in both checkouts at once and compares the
-sha256 of every checkpoint, log, metrics file, sweep row and grid row; it
-prints matched/total and each mismatch, and exits 1 on any. Run it from the
-root of the changed checkout; every run happens in its own checkout.
+sha256 of every checkpoint, log, metrics file, sweep row, grid row and
+`gen-data` file; it prints matched/total and each mismatch, and exits 1 on
+any. Run it from the root of the changed checkout; every run happens in its
+own checkout.
 """
 
 import argparse
@@ -36,7 +37,8 @@ SIDES = ("parent", "change")
 
 # the digest matrix: every mode under each of these overrides, per seed,
 # plus one lambda sweep per seed and sweep mode (the sweep ignores the mode)
-# and one ablation grid per seed over ABLATION_AXES
+# and one ablation grid per seed over ABLATION_AXES, and one `gen-data`
+# file per seed and GEN_DATA_KINDS kind
 MODES = ("two_phase", "phase_a_only", "joint", "zero_shot_baseline")
 VARIANTS = {
     "default": {},
@@ -48,6 +50,7 @@ VARIANTS = {
 SWEEP_LAMBDAS = (0.0, 0.2, 0.5, 0.9)
 SWEEP_MODES = ("two_phase", "joint")
 ABLATION_AXES = ["placement", "sampler"]
+GEN_DATA_KINDS = ("exp", "pareto")
 
 
 def seed_list(text: str) -> list[int]:
@@ -191,9 +194,11 @@ def digest_or_error(key: str, produce) -> dict:
 def cmd_matrix(args) -> None:
     """Print one JSON line of digests per run of the digest matrix, for the
     tailadapt that PYTHONPATH finds."""
+    from contextlib import redirect_stdout
     from dataclasses import replace
 
     import tailadapt
+    from tailadapt.cli import main as cli_main
     from tailadapt.experiments import ablation_grid, sweep_lambda
     from tailadapt.training import RunConfig, run, save_run
 
@@ -212,6 +217,14 @@ def cmd_matrix(args) -> None:
         rows = ablation_grid(config, ABLATION_AXES)
         return {f"cell={i}": json.dumps(row).encode() for i, row in enumerate(rows)}
 
+    def gen_data(kind: str, seed: int) -> dict:
+        out = os.path.join(args.tmp, f"{kind}.ltds")
+        with redirect_stdout(sys.stderr):  # keep stdout to the digest lines
+            code = cli_main(["gen-data", "--kind", kind, "--seed", str(seed), "--out", out])
+        if code != 0:
+            raise RuntimeError(f"gen-data exited {code}")
+        return {"file": Path(out).read_bytes()}
+
     print(json.dumps({"source": tailadapt.__file__}), flush=True)
     for seed in seed_list(args.seeds):
         for variant, overrides in VARIANTS.items():
@@ -225,6 +238,9 @@ def cmd_matrix(args) -> None:
                                              lambda: sweep_rows(config))), flush=True)
         print(json.dumps(digest_or_error(f"seed={seed} ablation_grid",
                                          lambda: grid_rows(RunConfig(seed=seed)))), flush=True)
+        for kind in GEN_DATA_KINDS:
+            print(json.dumps(digest_or_error(f"seed={seed} gen-data {kind}",
+                                             lambda: gen_data(kind, seed))), flush=True)
 
 
 def cmd_digests(args) -> int:

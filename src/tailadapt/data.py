@@ -111,7 +111,8 @@ class LongTailedDataset:
     test_per_class: int
     class_means: np.ndarray | None = None
     noise_sigma: float | None = None
-    _train_index: list[np.ndarray] = field(init=False, repr=False)
+    _train_order: np.ndarray = field(init=False, repr=False)
+    _class_start: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -141,9 +142,10 @@ class LongTailedDataset:
             raise ConfigurationError(
                 f"test split not balanced: expected {self.test_per_class} per class, "
                 f"found {test_hist.tolist()}")
-        # each class's train rows in row order, from one stable sort
-        self._train_index = np.split(np.argsort(train_labels, kind="stable"),
-                                     np.cumsum(self.class_counts)[:-1])
+        # train rows grouped by class, each class in row order, from one
+        # stable sort; class k's rows sit at _class_start[k]:_class_start[k + 1]
+        self._train_order = np.argsort(train_labels, kind="stable")
+        self._class_start = np.concatenate([[0], np.cumsum(self.class_counts)])
 
     @property
     def num_classes(self) -> int:
@@ -178,12 +180,12 @@ class LongTailedDataset:
         return self.labels[self.n_train:]
 
     def train_rows_for_class(self, class_id: int) -> np.ndarray:
-        return self._train_index[class_id]
+        return self._train_order[self._class_start[class_id]:self._class_start[class_id + 1]]
 
     def empirical_class_means(self) -> np.ndarray:
         means = np.zeros((self.num_classes, self.feature_dim))
         for k in range(self.num_classes):
-            means[k] = self.train_features[self._train_index[k]].mean(axis=0)
+            means[k] = self.train_features[self.train_rows_for_class(k)].mean(axis=0)
         return means
 
 
@@ -244,6 +246,8 @@ class DatasetSpec:
             counts = pareto_counts(self.num_classes, self.n_max, self.alpha)
         else:
             raise ConfigurationError("a 'file' dataset is read, not synthesized")
+        if np.any(np.asarray(seed) < 0):
+            raise ConfigurationError(f"seed must be >= 0, got {seed}")
         rng = np.random.default_rng(seed)
         means = rng.normal(size=(self.num_classes, self.feature_dim))
         means /= np.linalg.norm(means, axis=1, keepdims=True)
@@ -298,7 +302,11 @@ def sampler_probs(strategy: str, class_counts, progress: float = 0.0) -> np.ndar
 
 @dataclass
 class SamplerState:
-    """Owns the rng stream and (for mix_balanced) the schedule position."""
+    """Owns the rng stream and (for mix_balanced) the schedule position.
+
+    The rng must run on PCG64: `draw_batch` reads that bit generator's raw
+    words and its buffered 32-bit half directly.
+    """
 
     strategy: str
     rng: np.random.Generator
@@ -308,6 +316,10 @@ class SamplerState:
         if self.strategy not in STRATEGIES:
             raise ConfigurationError(
                 f"sampler strategy must be one of {STRATEGIES}, got {self.strategy!r}")
+        bitgen = getattr(self.rng, "bit_generator", None)
+        if not isinstance(bitgen, np.random.PCG64):
+            raise ConfigurationError(
+                f"sampler rng must be a Generator on PCG64, got {type(bitgen).__name__}")
 
     @classmethod
     def create(cls, strategy: str, seed) -> "SamplerState":
@@ -320,9 +332,30 @@ class SamplerState:
         self.progress = min(progress, 1.0)
 
 
+def _class_cdf(state: SamplerState, dataset: LongTailedDataset) -> np.ndarray:
+    cdf = sampler_probs(state.strategy, dataset.class_counts, state.progress).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw_picks(rng: np.random.Generator, cdf: np.ndarray, dataset: LongTailedDataset,
+                n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n picks, each one uniform for the class and then one bounded integer
+    for the row. The class pick is what `Generator.choice(K, p=probs)` does
+    inside, so the stream equals a `choice` then an `integers` call per pick."""
+    classes = np.empty(n, dtype=np.int64)
+    rows = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        cls = int(cdf.searchsorted(rng.random(), side="right"))
+        pool = dataset.train_rows_for_class(cls)
+        classes[i] = cls
+        rows[i] = pool[rng.integers(pool.shape[0])]
+    return classes, rows
+
+
 def draw(state: SamplerState, dataset: LongTailedDataset) -> tuple[int, int]:
-    """One (class_id, row_index) pick: a batch of one."""
-    classes, rows = draw_batch(state, dataset, 1)
+    """One (class_id, row_index) pick, the same stream as a batch of one."""
+    classes, rows = _draw_picks(state.rng, _class_cdf(state, dataset), dataset, 1)
     return int(classes[0]), int(rows[0])
 
 
@@ -331,22 +364,55 @@ def draw_batch(state: SamplerState, dataset: LongTailedDataset,
     """batch_size independent picks: class by strategy, row uniform within it.
 
     Progress is fixed within a batch, so the class CDF is built once per
-    batch. Each pick then takes one uniform for the class and one bounded
-    integer for the row, in that order. The class pick is what
-    `Generator.choice(K, p=probs)` does inside, so the stream equals a
-    `choice` then an `integers` call per pick, with probs rebuilt each time.
+    batch. The picks and the generator state left behind are those of
+    `_draw_picks`, computed from one block of PCG64 words:
+    - a pick's class uniform is a fresh word w as (w >> 11) * 2^-53;
+    - its row in a class of n rows is (u * n) >> 32, Lemire's bounded
+      multiply, where u is the low half of a fresh word, or the high half
+      the generator buffered (`has_uint32`) from the last one. So picks
+      alternate between taking a fresh row word and using the buffer,
+      starting from the flag at entry.
+    A one-row class takes no bits, and a product whose low half falls under
+    (2^32 - n) mod n is redrawn; from the first such pick on, the batch is
+    drawn pick by pick.
     """
-    cdf = sampler_probs(state.strategy, dataset.class_counts, state.progress).cumsum()
-    cdf /= cdf[-1]
-    rng = state.rng
-    classes = np.empty(batch_size, dtype=np.int64)
-    rows = np.empty(batch_size, dtype=np.int64)
-    for i in range(batch_size):
-        cls = int(cdf.searchsorted(rng.random(), side="right"))
-        pool = dataset.train_rows_for_class(cls)
-        classes[i] = cls
-        rows[i] = pool[rng.integers(pool.shape[0])]
-    return classes, rows
+    if batch_size < 0:
+        raise ConfigurationError(f"batch_size must be >= 0, got {batch_size}")
+    cdf = _class_cdf(state, dataset)
+    bitgen = state.rng.bit_generator
+    entry = bitgen.state
+    held = entry["has_uint32"]
+    i = np.arange(batch_size)
+    fresh = (i + held) % 2 == 0  # the pick's row takes a fresh word's low half
+    at = i + (i + 1 - held) // 2  # the word of the pick's class uniform
+    words = bitgen.random_raw(batch_size + (batch_size + 1 - held) // 2)
+    classes = cdf.searchsorted((words[at] >> 11) * 2.0 ** -53, side="right")
+    # a fresh row word follows the pick's class word; a buffered half is the
+    # high half of the word before it, or at entry the generator's own
+    bits = words[np.where(fresh, at + 1, at - 1)]
+    u32 = np.where(fresh, bits & 0xFFFFFFFF, bits >> 32)
+    u32[:held] = entry["uinteger"]
+    start = dataset._class_start[classes]
+    n = (dataset._class_start[classes + 1] - start).astype(np.uint64)
+    product = u32 * n
+    rows = dataset._train_order[start + (product >> 32).astype(np.int64)]
+    breaks = np.flatnonzero((n == 1) | ((product & 0xFFFFFFFF) < (2 ** 32 - n) % n))
+    keep = int(breaks[0]) if breaks.size else batch_size
+    # leave the generator where the first `keep` picks leave it
+    used = keep + (keep + 1 - held) // 2
+    if keep < batch_size:
+        bitgen.advance(used - words.size)
+    after = bitgen.state
+    after["has_uint32"] = (held + keep) % 2
+    # the high half of the last fresh row word, still there once consumed: the
+    # last word used, or the one before the last class word
+    after["uinteger"] = (int(words[used - 2 + after["has_uint32"]] >> 32) if used > keep
+                         else entry["uinteger"])
+    bitgen.state = after
+    if keep == batch_size:
+        return classes, rows
+    rest = _draw_picks(state.rng, cdf, dataset, batch_size - keep)
+    return np.concatenate([classes[:keep], rest[0]]), np.concatenate([rows[:keep], rest[1]])
 
 
 # ---- dataset files ----------------------------------------------------------

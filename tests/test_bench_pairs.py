@@ -36,3 +36,14 @@ def test_write_lists_a_one_sided_workload_as_incomplete(tmp_path, monkeypatch):
     report = json.loads(out.read_text())
     assert report["incomplete"] == {"train_default": {"end_to_end": {"parent": 2, "change": 0}}}
     assert report["workloads"] == {}
+
+
+def test_digest_variants_reach_the_sampler_fallbacks():
+    from tailadapt.data import exponential_counts
+    from tailadapt.training import RunConfig
+
+    configs = [RunConfig.from_dict({**overrides, "seed": 0, "mode": "two_phase"})
+               for overrides in _bench_pairs().VARIANTS.values()]
+    # an odd batch carries the buffered half; a one-row class takes no bits
+    assert any(c.batch_size % 2 == 1 and 1 in exponential_counts(
+        c.dataset.num_classes, c.dataset.n_max, c.dataset.rho) for c in configs)

@@ -60,6 +60,16 @@ def test_gen_data_rejects_non_positive_dim(tmp_path, capsys, dim):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_gen_data_rejects_negative_seed(tmp_path, capsys):
+    out = tmp_path / "d.ltds"
+    rc = main(["gen-data", "--kind", "exp", "--seed", "-1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: seed must be >= 0")
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [["--kind", "exp", "--rho", "nan"],
                                    ["--kind", "pareto", "--alpha", "nan"],
                                    ["--kind", "exp", "--sigma", "nan"],

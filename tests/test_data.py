@@ -196,22 +196,127 @@ def reference_draws(state, dataset, n):
     return picks
 
 
-@pytest.mark.parametrize("batch_size", [1, 7, 64])
+# draw_batch computes each batch from one block of raw PCG64 words, laid out
+# as numpy's `random()` and Lemire `integers(n)` consume them. The tests
+# below compare it with the per-pick reference on classes, rows and the full
+# bit-generator state after every batch; a numpy release that changes those
+# internals fails them.
+
+
+def assert_same_stream(fast, ref, ds, batch_sizes):
+    for batch_size in batch_sizes:
+        classes, rows = draw_batch(fast, ds, batch_size)
+        picks = reference_draws(ref, ds, batch_size)
+        assert classes.tolist() == [c for c, _ in picks]
+        assert rows.tolist() == [r for _, r in picks]
+        assert fast.rng.bit_generator.state == ref.rng.bit_generator.state
+
+
+def twin_states(strategy, seed):
+    return SamplerState.create(strategy, seed), SamplerState.create(strategy, seed)
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 63, 64, 256])
 @pytest.mark.parametrize("strategy,progress", [
     ("instance", 0.0), ("class_balanced", 0.0), ("square_root", 0.0),
     ("mix_balanced", 0.0), ("mix_balanced", 0.37), ("mix_balanced", 1.0),
 ])
 def test_draw_batch_stream_equals_choice_reference(strategy, progress, batch_size):
     ds = synth_exponential(12, 90, 30.0, 3, seed=4, test_per_class=2)
-    fast = SamplerState.create(strategy, 19)
-    ref = SamplerState.create(strategy, 19)
+    fast, ref = twin_states(strategy, 19)
     fast.set_progress(progress)
     ref.set_progress(progress)
-    for _ in range(3):  # later batches continue the same stream
-        classes, rows = draw_batch(fast, ds, batch_size)
-        picks = reference_draws(ref, ds, batch_size)
-        assert classes.tolist() == [c for c, _ in picks]
-        assert rows.tolist() == [r for _, r in picks]
+    # later batches continue the same stream; odd sizes carry the buffered
+    # high half across batch boundaries
+    assert_same_stream(fast, ref, ds, [batch_size] * 4)
+
+
+def test_draw_batch_mixed_sizes_keep_the_reference_state():
+    ds = synth_exponential(20, 200, 40.0, 3, seed=6, test_per_class=2)
+    fast, ref = twin_states("mix_balanced", 5)
+    for progress in (0.0, 0.3, 0.9):
+        fast.set_progress(progress)
+        ref.set_progress(progress)
+        assert_same_stream(fast, ref, ds, [3, 0, 1, 64, 1, 1, 63, 2])
+
+
+def test_draw_batch_from_a_buffered_half():
+    ds = small_dataset()
+    fast, ref = twin_states("square_root", 8)
+    for state in (fast, ref):
+        state.rng.integers(5)  # leaves the high half of a word buffered
+        assert state.rng.bit_generator.state["has_uint32"] == 1
+    assert_same_stream(fast, ref, ds, [1, 6, 7, 64])
+
+
+@pytest.mark.parametrize("strategy", ["instance", "class_balanced"])
+def test_draw_batch_with_one_row_classes(strategy):
+    ds = synth_exponential(20, 200, 200.0, 3, seed=6, test_per_class=2)
+    assert ds.class_counts[-1] == 1  # a pick there takes no bits
+    fast, ref = twin_states(strategy, 31)
+    assert_same_stream(fast, ref, ds, [63, 64, 7, 256, 1, 64])
+
+
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def state_before_word(bitgen, index, word):
+    """A PCG64 state whose raw word number `index` (from 0) is `word`."""
+    st = bitgen.state
+    inc, inverse = st["state"]["inc"], pow(PCG64_MULTIPLIER, -1, 2 ** 128)
+    # a state with high half 0 outputs its low half (the XSL-RR rotation is 0)
+    state = word
+    for _ in range(index + 1):
+        state = (state - inc) * inverse % 2 ** 128
+    st["state"]["state"] = state
+    return st
+
+
+@pytest.mark.parametrize("index,word,first_loop_pick", [
+    (1, 0xABCDEF01_00000000, 0),  # pick 0's fresh low half is 0
+    (1, 0x00000000_FFFFFFFF, 1),  # pick 1's buffered high half is 0
+    (4, 0x12345678_00000000, 2),  # pick 2's fresh low half is 0
+], ids=["fresh-pick-0", "buffered-pick-1", "fresh-pick-2"])
+def test_draw_batch_through_a_lemire_redraw(monkeypatch, index, word, first_loop_pick):
+    # no count is a power of two, so a row bit pattern of 0 is always redrawn:
+    # its product's low half 0 falls under (2^32 - n) mod n
+    labels = np.repeat([0, 1, 2, 0, 1, 2], [3, 5, 6, 1, 1, 1])
+    ds = LongTailedDataset(np.zeros((17, 2)), labels, np.array([3, 5, 6]), test_per_class=1)
+    fast, ref = twin_states("class_balanced", 0)
+    for state in (fast, ref):
+        state.rng.bit_generator.state = state_before_word(state.rng.bit_generator, index, word)
+    loop_sizes = []
+    real_picks = data._draw_picks
+
+    def counted(rng, cdf, dataset, n):
+        loop_sizes.append(n)
+        return real_picks(rng, cdf, dataset, n)
+
+    monkeypatch.setattr(data, "_draw_picks", counted)
+    assert_same_stream(fast, ref, ds, [8, 8])
+    assert loop_sizes == [8 - first_loop_pick]
+
+
+def test_draw_batch_rejects_a_negative_size():
+    with pytest.raises(ConfigurationError, match="batch_size"):
+        draw_batch(SamplerState.create("instance", 0), small_dataset(), -1)
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+def test_empty_batch_leaves_the_generator_alone(buffered):
+    state = SamplerState.create("instance", 0)
+    if buffered:
+        state.rng.integers(5)
+    before = state.rng.bit_generator.state
+    classes, rows = draw_batch(state, small_dataset(), 0)
+    assert classes.dtype == rows.dtype == np.int64
+    assert classes.shape == rows.shape == (0,)
+    assert state.rng.bit_generator.state == before
+
+
+def test_sampler_needs_pcg64():
+    with pytest.raises(ConfigurationError, match="MT19937"):
+        SamplerState("instance", np.random.Generator(np.random.MT19937(0)))
 
 
 def test_draw_batch_builds_probs_once_per_batch(monkeypatch):
@@ -275,6 +380,11 @@ def test_synth_deterministic_per_seed():
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.labels, b.labels)
     assert not np.array_equal(a.features, c.features)
+
+
+def test_synth_rejects_negative_seed():
+    with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+        synth_exponential(4, 30, 10.0, 5, seed=-1)
 
 
 def test_synth_pareto_dataset():

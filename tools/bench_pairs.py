@@ -35,10 +35,12 @@ from pathlib import Path
 TIER1 = ["python", "-m", "pytest", "-q", "--continue-on-collection-errors"]
 SIDES = ("parent", "change")
 
-# the digest matrix: every mode under each of these overrides, per seed,
-# plus one lambda sweep per seed and sweep mode (the sweep ignores the mode)
-# and one ablation grid per seed over ABLATION_AXES, and one `gen-data`
-# file per seed and GEN_DATA_KINDS kind
+# the digest matrix: every mode under each of these config-file overrides,
+# per seed, plus one lambda sweep per seed and sweep mode (the sweep ignores
+# the mode) and one ablation grid per seed over ABLATION_AXES, and one
+# `gen-data` file per seed and GEN_DATA_KINDS kind. An odd batch carries the
+# sampler's buffered 32-bit half across batches, and rho 200 leaves the tail
+# class one row, which the sampler draws pick by pick.
 MODES = ("two_phase", "phase_a_only", "joint", "zero_shot_baseline")
 VARIANTS = {
     "default": {},
@@ -46,6 +48,7 @@ VARIANTS = {
                            "balance_sampler": "mix_balanced"},
     "language+square_root": {"placement": "language", "balance_sampler": "square_root"},
     "warm_start": {"warm_start": True},
+    "batch63+one_row_tail": {"batch_size": 63, "dataset": {"rho": 200.0}},
 }
 SWEEP_LAMBDAS = (0.0, 0.2, 0.5, 0.9)
 SWEEP_MODES = ("two_phase", "joint")
@@ -229,7 +232,7 @@ def cmd_matrix(args) -> None:
     for seed in seed_list(args.seeds):
         for variant, overrides in VARIANTS.items():
             for mode in MODES:
-                config = RunConfig(seed=seed, mode=mode, **overrides)
+                config = RunConfig.from_dict({**overrides, "seed": seed, "mode": mode})
                 print(json.dumps(digest_or_error(f"seed={seed} {variant} {mode}",
                                                  lambda: artifacts(config))), flush=True)
         for mode in SWEEP_MODES:

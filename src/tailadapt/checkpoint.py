@@ -16,8 +16,9 @@ Array order is preserved exactly, so write -> read -> write reproduces the
 file byte for byte. Adapter parameters are stored under the "adapter/"
 prefix; the backbone digest covers every array outside that prefix, so
 checkpoints that differ only in their adapter share it. The trainer does not
-use it: `FrozenView.verify()` is what proves the backbone never moved in
-Phase B, by comparing the parameters' digest at freeze and after the phase.
+use it: Phase B trains on features computed once from the frozen backbone,
+and `FrozenView.verify()` proves the parameters never moved meanwhile, by
+comparing their digest at freeze and after the phase.
 
 Every file the package writes, in this format or another, goes through
 `replacing`, so a reader never sees a half-written file.

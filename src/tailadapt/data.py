@@ -311,6 +311,9 @@ class SamplerState:
     strategy: str
     rng: np.random.Generator
     progress: float = 0.0
+    # the last class CDF built: (dataset, strategy, progress, cdf)
+    _cdf: tuple = field(default=(None, None, None, None), init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -333,8 +336,14 @@ class SamplerState:
 
 
 def _class_cdf(state: SamplerState, dataset: LongTailedDataset) -> np.ndarray:
-    cdf = sampler_probs(state.strategy, dataset.class_counts, state.progress).cumsum()
-    cdf /= cdf[-1]
+    """The class pick's CDF, built again only for another dataset object,
+    strategy or progress than the last build's."""
+    dataset_at, strategy_at, progress_at, cdf = state._cdf
+    if (dataset_at is not dataset or strategy_at != state.strategy
+            or progress_at != state.progress):
+        cdf = sampler_probs(state.strategy, dataset.class_counts, state.progress).cumsum()
+        cdf /= cdf[-1]
+        state._cdf = (dataset, state.strategy, state.progress, cdf)
     return cdf
 
 
@@ -363,9 +372,9 @@ def draw_batch(state: SamplerState, dataset: LongTailedDataset,
                batch_size: int) -> tuple[np.ndarray, np.ndarray]:
     """batch_size independent picks: class by strategy, row uniform within it.
 
-    Progress is fixed within a batch, so the class CDF is built once per
-    batch. The picks and the generator state left behind are those of
-    `_draw_picks`, computed from one block of PCG64 words:
+    Progress is fixed within a batch, so the whole batch picks classes from
+    one class CDF (see `_class_cdf`). The picks and the generator state left
+    behind are those of `_draw_picks`, computed from one block of PCG64 words:
     - a pick's class uniform is a fresh word w as (w >> 11) * 2^-53;
     - its row in a class of n rows is (u * n) >> 32, Lemire's bounded
       multiply, where u is the low half of a fresh word, or the high half

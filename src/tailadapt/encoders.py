@@ -9,7 +9,8 @@ Both end in row normalization, so cosine similarity is a plain dot product.
 
 `freeze` wraps the parameters in a read-only view with a content digest;
 comparing digests before and after a training phase proves the backbone
-stayed untouched.
+stayed untouched. A `FrozenFeatures` holds such a view's projected features,
+computed once, and stands in for it in the forward paths.
 """
 
 from __future__ import annotations
@@ -188,6 +189,25 @@ def freeze(params: ModelParams) -> FrozenView:
     return FrozenView(params)
 
 
+class FrozenFeatures:
+    """A frozen backbone's projected features, computed once, read-only.
+
+    `rows` holds visual_features of each input split in turn, every split
+    forwarded in its own Graph so only one split's activations are alive at
+    a time; `text` holds text_features of every class. Passed as the
+    backbone, its input rows are rows of `rows`: visual_features hands them
+    back and text_features looks class rows up in `text`, and neither
+    records a tape node.
+    """
+
+    def __init__(self, frozen: FrozenView, splits):
+        self.config = frozen.config
+        self.rows = np.concatenate(
+            [visual_features(Graph(), frozen, Tensor(x)).data for x in splits])
+        self.text = text_features(Graph(), frozen, np.arange(self.config.num_classes)).data
+        self.rows.flags.writeable = self.text.flags.writeable = False
+
+
 # ---- forward paths ---------------------------------------------------------
 
 
@@ -200,15 +220,20 @@ def _mlp(g: Graph, layers: list[tuple[Tensor, Tensor]], x: Tensor) -> Tensor:
 
 
 def visual_features(g: Graph, params, x: Tensor) -> Tensor:
-    """Projected visual embedding before normalization."""
-    if x.data.ndim != 2 or x.shape[1] != params.config.input_dim:
-        raise DimensionError(
-            f"expected input of width {params.config.input_dim}, got {x.shape}")
+    """Projected visual embedding before normalization. Over FrozenFeatures
+    the input rows are those features already, and come back as they are."""
+    cached = isinstance(params, FrozenFeatures)
+    width = params.config.shared_dim if cached else params.config.input_dim
+    if x.data.ndim != 2 or x.shape[1] != width:
+        raise DimensionError(f"expected input of width {width}, got {x.shape}")
+    if cached:
+        return x
     return g.affine(_mlp(g, params.layers("visual"), x), params.tensors["proj/visual"])
 
 
 def text_features(g: Graph, params, class_ids) -> Tensor:
-    """Projected text embedding before normalization.
+    """Projected text embedding before normalization, looked up over
+    FrozenFeatures.
 
     class_ids may contain duplicates; each id yields its own row.
     """
@@ -217,6 +242,8 @@ def text_features(g: Graph, params, class_ids) -> Tensor:
     bad = ids[(ids < 0) | (ids >= k_max)]
     if bad.size:
         raise ClassIndexError(f"class id {int(bad[0])} outside [0, {k_max})")
+    if isinstance(params, FrozenFeatures):
+        return Tensor(params.text[ids])
     cls_rows = g.gather(params.tensors["text/class_embedding"], ids)
     tmpl_rows = g.gather(params.tensors["text/template_embedding"],
                          np.zeros(len(ids), dtype=np.int64))

@@ -44,7 +44,7 @@ from .encoders import (
     SEED_PHASE_B_SAMPLER,
     SEED_WARM_POOL,
     SEED_WARM_SAMPLER,
-    FrozenView,
+    FrozenFeatures,
     ModelConfig,
     ModelParams,
     encode_text,
@@ -292,7 +292,8 @@ def _train_epochs(phase: Phase, backbone, adapter: AdapterParams | None,
                   eval_dataset: LongTailedDataset | None = None) -> None:
     """Shared loop: sample, forward, backward, momentum step, log per epoch.
 
-    The backbone trains at lr_backbone unless it is a FrozenView; the
+    A ModelParams backbone trains at lr_backbone. A FrozenFeatures backbone
+    does not train, and `dataset` then holds its projected rows. The
     adapter, when given, trains at lr_adapter, and the branches it covers go
     through the blended path. Each learning rate decays on a cosine over the
     phase's own epochs.
@@ -300,7 +301,7 @@ def _train_epochs(phase: Phase, backbone, adapter: AdapterParams | None,
     if phase.epochs == 0:
         return
     groups = []
-    if not isinstance(backbone, FrozenView):
+    if not isinstance(backbone, FrozenFeatures):
         groups.append((backbone.named_parameters(), config.lr_backbone))
     if adapter is not None:
         groups.append((adapter.named_parameters(), config.lr_adapter))
@@ -387,14 +388,20 @@ def train_phase_b(params: ModelParams, config: RunConfig,
                   dataset: LongTailedDataset) -> tuple[AdapterParams, list]:
     """Adapter-only training on balanced draws over a frozen backbone.
 
-    The backbone digest is checked after training; any drift raises.
+    The frozen backbone's projected features are computed once, train rows
+    then test rows, and the adapter trains and is evaluated on those rows,
+    with the dataset's labels and counts. The backbone digest is checked
+    after training; any drift raises.
     """
     frozen = freeze(params)
+    features = FrozenFeatures(frozen, (dataset.train_features, dataset.test_features))
+    projected = LongTailedDataset(features.rows, dataset.labels, dataset.class_counts,
+                                  dataset.test_per_class)
     adapter = _init_adapter(config)
     log: list[dict] = []
     phase = Phase("B", config.epochs_b, _strategy(config, config.balance_phase_b),
                   SEED_PHASE_B_SAMPLER)
-    _train_epochs(phase, frozen, adapter, dataset, config, log)
+    _train_epochs(phase, features, adapter, projected, config, log)
     if not frozen.verify():
         raise FreezeViolationError(
             "backbone digest changed during adapter training")

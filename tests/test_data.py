@@ -329,9 +329,20 @@ def test_draw_batch_builds_probs_once_per_batch(monkeypatch):
     monkeypatch.setattr(data, "sampler_probs", counted)
     ds = small_dataset()
     state = SamplerState.create("square_root", 3)
-    for _ in range(4):
+    for step in range(4):
+        state.set_progress(step / 4)
         draw_batch(state, ds, 64)
     assert len(calls) == 4
+    # the same dataset at the same progress reuses the last CDF
+    draw_batch(state, ds, 64)
+    draw(state, ds)
+    assert len(calls) == 4
+    draw(state, small_dataset())  # an equal dataset, but another object
+    state.set_progress(1.0)
+    draw(state, ds)
+    state.strategy = "instance"
+    draw(state, ds)
+    assert len(calls) == 7
 
 
 def test_class_balanced_monte_carlo():

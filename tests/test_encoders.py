@@ -7,12 +7,15 @@ import pytest
 from tailadapt.autodiff import Graph, Tensor
 from tailadapt.checkpoint import digest_arrays
 from tailadapt.encoders import (
+    FrozenFeatures,
     FrozenView,
     ModelConfig,
     ModelParams,
     encode_text,
     encode_visual,
     freeze,
+    text_features,
+    visual_features,
 )
 from tailadapt.errors import ClassIndexError, ConfigurationError, DimensionError
 
@@ -176,6 +179,27 @@ def test_frozen_view_tracks_source_mutation():
     view = freeze(params)
     params.tensors["proj/visual"].data[0, 0] += 1.0  # mutate through the source
     assert not view.verify()
+
+
+def test_frozen_features_serve_rows_without_a_tape():
+    params = random_params(seed=9)
+    rng = np.random.default_rng(10)
+    splits = (rng.normal(size=(5, 16)), rng.normal(size=(3, 16)))
+    features = FrozenFeatures(freeze(params), splits)
+    x = Tensor(np.concatenate(splits))
+    assert np.array_equal(features.rows, visual_features(Graph(), params, x).data)
+    assert not (features.rows.flags.writeable or features.text.flags.writeable)
+    g = Graph()
+    rows = Tensor(features.rows[[4, 0]])
+    assert visual_features(g, features, rows) is rows
+    ids = [3, 3, 19]
+    assert np.array_equal(text_features(g, features, ids).data,
+                          text_features(Graph(), params, ids).data)
+    assert len(g) == 0
+    with pytest.raises(DimensionError, match="width 24"):
+        visual_features(g, features, x)  # raw inputs, not projected rows
+    with pytest.raises(ClassIndexError):
+        text_features(g, features, [20])
 
 
 def test_digest_ignores_adapter_prefix_only_in_backbone_digest():

@@ -9,10 +9,10 @@ import pytest
 
 from conftest import small_config
 from tailadapt import training
-from tailadapt.autodiff import Tensor
+from tailadapt.autodiff import Graph, Tensor
 from tailadapt.checkpoint import backbone_digest, digest_arrays, write_arrays
 from tailadapt.data import pareto_counts
-from tailadapt.encoders import freeze
+from tailadapt.encoders import FrozenFeatures, ModelConfig, freeze, text_features, visual_features
 from tailadapt.errors import (
     CheckpointFormatError,
     ConfigurationError,
@@ -138,6 +138,43 @@ def test_phase_b_raises_when_the_backbone_changes_under_it(monkeypatch):
     with pytest.raises(FreezeViolationError):
         train_phase_b(params, cfg, ds)
     assert bumped == [True]
+
+
+WIDE = {"placement": "both", "batch_size": 256, "epochs_a": 8, "epochs_b": 2,
+        "model": ModelConfig(hidden=(512, 512), visual_dim=256, text_dim=256, shared_dim=128)}
+
+
+@pytest.mark.parametrize("overrides", [{}, WIDE], ids=["default", "wide"])
+@pytest.mark.parametrize("seed", range(5))
+def test_phase_b_features_equal_each_batch_forward(monkeypatch, seed, overrides):
+    # Phase B trains on features projected once per split. That is exact only
+    # while BLAS gives a row the same bits in the split's matmul as in a
+    # batch's: if this fails, that stopped holding. Compare without tolerance.
+    cfg = replace(RunConfig(seed=seed), **overrides)
+    ds = build_dataset(cfg)
+    params = init_params(cfg, ds)
+    real_draw = training.draw_batch
+    batches = []
+
+    def recorded(sampler, dataset, batch_size):
+        picks = real_draw(sampler, dataset, batch_size)
+        batches.append((dataset, *picks))
+        return picks
+
+    monkeypatch.setattr(training, "draw_batch", recorded)
+    train_phase_b(params, cfg, ds)
+    frozen = freeze(params)
+    text = FrozenFeatures(frozen, (ds.train_features, ds.test_features)).text
+    assert len(batches) == cfg.epochs_b * math.ceil(ds.n_train / cfg.batch_size)
+    projected = batches[0][0]
+    for dataset, classes, rows in batches:
+        assert dataset is projected
+        x = Tensor(ds.features[rows])
+        assert (projected.features[rows].tobytes()
+                == visual_features(Graph(), frozen, x).data.tobytes())
+        assert text[classes].tobytes() == text_features(Graph(), frozen, classes).data.tobytes()
+    test_rows = visual_features(Graph(), frozen, Tensor(ds.test_features)).data
+    assert projected.test_features.tobytes() == test_rows.tobytes()
 
 
 def test_phase_functions_ignore_mode():

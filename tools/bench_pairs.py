@@ -40,7 +40,10 @@ SIDES = ("parent", "change")
 # the mode) and one ablation grid per seed over ABLATION_AXES, and one
 # `gen-data` file per seed and GEN_DATA_KINDS kind. An odd batch carries the
 # sampler's buffered 32-bit half across batches, and rho 200 leaves the tail
-# class one row, which the sampler draws pick by pick.
+# class one row, which the sampler draws pick by pick. Phase B trains on
+# features projected one split at a time, so its batches match only while
+# BLAS gives a row the same bits at every row count; the wider variant checks
+# that at other matmul block shapes.
 MODES = ("two_phase", "phase_a_only", "joint", "zero_shot_baseline")
 VARIANTS = {
     "default": {},
@@ -49,6 +52,9 @@ VARIANTS = {
     "language+square_root": {"placement": "language", "balance_sampler": "square_root"},
     "warm_start": {"warm_start": True},
     "batch63+one_row_tail": {"batch_size": 63, "dataset": {"rho": 200.0}},
+    "wide128+both+batch256": {"placement": "both", "batch_size": 256, "epochs_a": 8,
+                              "epochs_b": 2, "model": {"hidden": [128, 128], "visual_dim": 64,
+                                                       "text_dim": 64, "shared_dim": 32}},
 }
 SWEEP_LAMBDAS = (0.0, 0.2, 0.5, 0.9)
 SWEEP_MODES = ("two_phase", "joint")

@@ -3,9 +3,10 @@
 The training stack only needs a handful of operations (affine maps, ReLU,
 row-wise l2 normalization, a scaled similarity matrix, cross-entropy against
 the diagonal, elementwise add, scalar scale, row gather, and a full sum), so
-the engine records exactly those on a forward-ordered tape and replays it in
-reverse. Keeping the set closed means every backward rule is small enough to
-verify independently against central finite differences.
+the engine records exactly those on a forward-ordered tape and replays the
+whole tape in reverse, so every tensor on it gets its gradient. Keeping the
+set closed means every backward rule is small enough to verify independently
+against central finite differences.
 
 All values are dense float64. A `Graph` is single-writer: build a fresh one
 per forward pass; distinct graphs over distinct parameter copies are
@@ -252,14 +253,11 @@ class Graph:
     # ---- reverse pass ----------------------------------------------------
 
     def backward(self, loss: Tensor, params: Sequence[Tensor] = ()) -> None:
-        """Set .grad to dLoss/d(t) for each t in `params` and each tensor
-        computed from them; with no `params`, for every tensor on the tape.
+        """Set .grad to dLoss/d(t) for every tensor t on the tape, replaying
+        every node in reverse.
 
-        Only the ops a parameter feeds, directly or through such an op, are
-        replayed. Their other inputs (a data batch, a frozen weight) get a
-        partial grad that nothing should read; tensors no replayed op touches
-        keep their old .grad. `loss` must be a scalar produced by this graph.
-        A param the loss never touches gets an all-zero grad, not None.
+        `loss` must be a scalar produced by this graph. A tensor in `params`
+        that the loss never reaches gets an all-zero grad, not None.
         """
         if loss.data.shape != ():
             raise ContractError(
@@ -267,19 +265,14 @@ class Graph:
         if not any(node.out is loss for node in self._nodes):
             raise ContractError("backward requires a loss produced by this graph")
 
-        live = {id(t) for t in params}
         touched = {id(t): t for t in params}
-        kept = []
         for node in self._nodes:
-            if not params or any(id(t) in live for t in node.inputs):
-                kept.append(node)
-                live.add(id(node.out))
-                touched.update((id(t), t) for t in node.inputs + (node.out,))
+            touched.update((id(t), t) for t in node.inputs + (node.out,))
         for t in touched.values():
             t.grad = np.zeros_like(t.data)
 
         loss.grad = np.ones_like(loss.data)
-        for node in reversed(kept):
+        for node in reversed(self._nodes):
             node.backward(node.out.grad)
 
 

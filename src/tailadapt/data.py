@@ -120,6 +120,9 @@ class LongTailedDataset:
         self.class_counts = np.asarray(self.class_counts, dtype=np.int64)
         if self.features.ndim != 2 or self.labels.ndim != 1:
             raise ConfigurationError("features must be 2-d with a flat label array")
+        finite = np.isfinite(self.features).all(axis=1)
+        if not finite.all():
+            raise ConfigurationError(f"non-finite feature in row {int(np.argmin(finite))}")
         if self.features.shape[0] != self.labels.shape[0]:
             raise ConfigurationError(
                 f"{self.features.shape[0]} rows vs {self.labels.shape[0]} labels")
@@ -311,7 +314,7 @@ class SamplerState:
     strategy: str
     rng: np.random.Generator
     progress: float = 0.0
-    # the last class CDF built: (dataset, strategy, progress, cdf)
+    # the last class CDF built: (dataset, strategy, mix_balanced progress, cdf)
     _cdf: tuple = field(default=(None, None, None, None), init=False, repr=False,
                         compare=False)
 
@@ -336,14 +339,16 @@ class SamplerState:
 
 
 def _class_cdf(state: SamplerState, dataset: LongTailedDataset) -> np.ndarray:
-    """The class pick's CDF, built again only for another dataset object,
-    strategy or progress than the last build's."""
+    """The class pick's CDF, built again only for another dataset object or
+    strategy than the last build's; under mix_balanced, the one strategy
+    whose CDF moves with the schedule, also for another progress."""
+    progress = state.progress if state.strategy == "mix_balanced" else None
     dataset_at, strategy_at, progress_at, cdf = state._cdf
     if (dataset_at is not dataset or strategy_at != state.strategy
-            or progress_at != state.progress):
+            or progress_at != progress):
         cdf = sampler_probs(state.strategy, dataset.class_counts, state.progress).cumsum()
         cdf /= cdf[-1]
-        state._cdf = (dataset, state.strategy, state.progress, cdf)
+        state._cdf = (dataset, state.strategy, progress, cdf)
     return cdf
 
 
@@ -459,12 +464,8 @@ def read_dataset(path) -> LongTailedDataset:
     # claim TiBs, or a width no dtype can hold
     r.expect_remaining(n_total * (4 + 8 * feature_dim))
     rows = np.frombuffer(r.blob, _row_dtype(feature_dim), count=n_total, offset=r.pos)
-    features = np.ascontiguousarray(rows["f"])
-    finite = np.isfinite(features).all(axis=1)
-    if not finite.all():
-        r.fail(f"non-finite feature in row {int(np.argmin(finite))}")
     try:
-        return LongTailedDataset(features, rows["label"], np.array(counts, dtype=np.int64),
-                                 test_per_class)
+        return LongTailedDataset(np.ascontiguousarray(rows["f"]), rows["label"],
+                                 np.array(counts, dtype=np.int64), test_per_class)
     except ConfigurationError as exc:
         r.fail(str(exc))

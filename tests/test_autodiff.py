@@ -352,7 +352,7 @@ def test_backward_rejects_foreign_loss():
         g.backward(Tensor(0.0))
 
 
-def test_backward_replays_only_the_ops_params_feed():
+def test_backward_replays_the_whole_tape():
     rng = np.random.default_rng(4)
     x, w1, w2 = (Tensor(rng.normal(size=s)) for s in ((3, 4), (4, 5), (5, 2)))
     g = Graph()
@@ -360,11 +360,13 @@ def test_backward_replays_only_the_ops_params_feed():
     loss = g.sum(g.affine(h, w2))
     g.backward(loss, params=[w2])
     np.testing.assert_allclose(w2.grad, h.data.T @ np.ones((3, 2)))
-    assert x.grad is None and w1.grad is None  # no replayed op touches them
-    pruned = w2.grad
-    g.backward(loss)  # no params: every tensor on the tape counts as one
-    np.testing.assert_array_equal(w2.grad, pruned)
-    assert x.grad.shape == x.shape and w1.grad.shape == w1.shape
+    # tensors no param feeds get their grads too
+    assert x.grad is not None and w1.grad is not None
+    first = [t.grad for t in (w2, x, w1)]
+    g.backward(loss)
+    for t, grad in zip((w2, x, w1), first):
+        assert t.grad is not grad
+        np.testing.assert_array_equal(t.grad, grad)
 
 
 def test_unreached_params_get_zero_grad():

@@ -47,3 +47,13 @@ def test_digest_variants_reach_the_sampler_fallbacks():
     # an odd batch carries the buffered half; a one-row class takes no bits
     assert any(c.batch_size % 2 == 1 and 1 in exponential_counts(
         c.dataset.num_classes, c.dataset.n_max, c.dataset.rho) for c in configs)
+
+
+def test_src_lines_counts_python_files_under_src_only(tmp_path):
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "a.py").write_text("x = 1\n\ny = 2\n")
+    (tmp_path / "src" / "b.py").write_text("z = 3\n# no final newline")
+    (tmp_path / "src" / "notes.txt").write_text("not code\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "t.py").write_text("outside src\n")
+    assert _bench_pairs().src_lines(tmp_path) == 4

@@ -73,8 +73,10 @@ def test_gen_data_rejects_negative_seed(tmp_path, capsys):
 @pytest.mark.parametrize("flags", [["--kind", "exp", "--rho", "nan"],
                                    ["--kind", "pareto", "--alpha", "nan"],
                                    ["--kind", "exp", "--sigma", "nan"],
-                                   ["--kind", "exp", "--sigma", "inf"]],
-                         ids=["rho-nan", "alpha-nan", "sigma-nan", "sigma-inf"])
+                                   ["--kind", "exp", "--sigma", "inf"],
+                                   ["--kind", "exp", "--sigma", "1e308"]],
+                         ids=["rho-nan", "alpha-nan", "sigma-nan", "sigma-inf",
+                              "sigma-overflow"])
 def test_gen_data_rejects_non_finite_parameters(tmp_path, capsys, flags):
     out = tmp_path / "d.ltds"
     rc = main(["gen-data", *flags, "--out", str(out)])

@@ -1,6 +1,8 @@
 """Long-tailed data: count profiles, shot buckets, sampler math, draws, and
 the dataset file format."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -328,21 +330,30 @@ def test_draw_batch_builds_probs_once_per_batch(monkeypatch):
 
     monkeypatch.setattr(data, "sampler_probs", counted)
     ds = small_dataset()
+    # mix_balanced reads the progress, so each new progress builds once
+    state = SamplerState.create("mix_balanced", 3)
+    for step in range(4):
+        state.set_progress(step / 4)
+        draw_batch(state, ds, 64)
+    # a mix_balanced build also makes two inner calls; count the builds
+    assert sum(args[0] == "mix_balanced" for args in calls) == 4
+    # the same dataset at the same progress reuses the last CDF
+    draw_batch(state, ds, 64)
+    draw(state, ds)
+    assert sum(args[0] == "mix_balanced" for args in calls) == 4
+    # square_root ignores the progress: one build across all four values
+    calls.clear()
     state = SamplerState.create("square_root", 3)
     for step in range(4):
         state.set_progress(step / 4)
         draw_batch(state, ds, 64)
-    assert len(calls) == 4
-    # the same dataset at the same progress reuses the last CDF
-    draw_batch(state, ds, 64)
-    draw(state, ds)
-    assert len(calls) == 4
+    assert len(calls) == 1
     draw(state, small_dataset())  # an equal dataset, but another object
     state.set_progress(1.0)
     draw(state, ds)
     state.strategy = "instance"
     draw(state, ds)
-    assert len(calls) == 7
+    assert len(calls) == 4
 
 
 def test_class_balanced_monte_carlo():
@@ -477,6 +488,24 @@ def test_non_finite_feature_rejected(tmp_path):
     blob[header + 4:header + 12] = _struct.pack("<d", float("nan"))
     path.write_bytes(bytes(blob))
     with pytest.raises(DatasetFormatError, match="row 0"):
+        read_dataset(path)
+
+
+def test_non_finite_feature_is_one_rule_for_built_and_read_datasets(tmp_path):
+    ds = synth_exponential(3, 10, 5.0, 4, seed=0, test_per_class=2)
+    features = ds.features.copy()
+    features[2, 3] = np.inf
+    with pytest.raises(ConfigurationError, match="non-finite feature in row 2"):
+        LongTailedDataset(features, ds.labels, ds.class_counts, ds.test_per_class)
+    path = tmp_path / "r.ltds"
+    write_dataset(ds, path)
+    blob = bytearray(path.read_bytes())
+    row = 4 + 4 * 8  # a row is a u4 label and four f8 features
+    start = 4 + 4 + 8 + 4 + 4 + 3 * 8 + 8 + row + 4 + 8  # row 1, feature 1
+    blob[start:start + 8] = np.float64(np.nan).tobytes()
+    path.write_bytes(bytes(blob))
+    message = re.escape(f"{path}: non-finite feature in row 1")
+    with pytest.raises(DatasetFormatError, match=message):
         read_dataset(path)
 
 

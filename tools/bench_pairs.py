@@ -17,8 +17,9 @@ runs from one side only is listed under "incomplete" instead. `digests` runs
 the fixed config matrix below in both checkouts at once and compares the
 sha256 of every checkpoint, log, metrics file, sweep row, grid row and
 `gen-data` file; it prints matched/total and each mismatch, and exits 1 on
-any. Run it from the root of the changed checkout; every run happens in its
-own checkout.
+any. It also prints each checkout's `src/` line count and the difference.
+Run it from the root of the changed checkout; every run happens in its own
+checkout.
 """
 
 import argparse
@@ -252,6 +253,11 @@ def cmd_matrix(args) -> None:
                                              lambda: gen_data(kind, seed))), flush=True)
 
 
+def src_lines(root) -> int:
+    """Lines of the .py files under root/src, counted as `wc -l` does."""
+    return sum(path.read_bytes().count(b"\n") for path in Path(root, "src").rglob("*.py"))
+
+
 def cmd_digests(args) -> int:
     procs = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -281,6 +287,9 @@ def cmd_digests(args) -> int:
     for k in mismatched:
         print(f"MISMATCH {k}: parent {parent.get(k)} change {change.get(k)}")
     print(f"{len(keys) - len(mismatched)}/{len(keys)} digests matched")
+    lines = {side: src_lines(getattr(args, side)) for side in SIDES}
+    print(f"src/ lines: parent {lines['parent']}, change {lines['change']} "
+          f"({lines['change'] - lines['parent']:+d})")
     return 1 if mismatched else 0
 
 

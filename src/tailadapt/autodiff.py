@@ -8,6 +8,11 @@ whole tape in reverse, so every tensor on it gets its gradient. Keeping the
 set closed means every backward rule is small enough to verify independently
 against central finite differences.
 
+A backward rule hands each input's contribution to `_acc` as a fresh array.
+The first contribution a tensor receives becomes its `.grad` and later ones
+add into it, so no gradient starts as a zero-filled buffer. A tensor the loss
+never reaches still ends with an all-zero grad.
+
 All values are dense float64. A `Graph` is single-writer: build a fresh one
 per forward pass; distinct graphs over distinct parameter copies are
 independent.
@@ -49,7 +54,7 @@ class Tensor:
 
     def __init__(self, data):
         arr = np.asarray(data, dtype=np.float64)
-        if not arr.flags["C_CONTIGUOUS"]:
+        if not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)
         self.data = arr
         self.grad: np.ndarray | None = None
@@ -66,11 +71,13 @@ class Tensor:
         return f"Tensor(shape={self.data.shape})"
 
 
-@dataclass
-class _Node:
-    inputs: tuple[Tensor, ...]
-    out: Tensor
-    backward: Callable[[np.ndarray], None]
+def _acc(t: Tensor, value: np.ndarray) -> None:
+    """Add one gradient contribution to t. The first becomes t.grad itself,
+    so `value` must be a fresh array that no other tensor holds."""
+    if t.grad is None:
+        t.grad = value
+    else:
+        t.grad += value
 
 
 @dataclass
@@ -106,14 +113,15 @@ class Graph:
     """
 
     def __init__(self):
-        self._nodes: list[_Node] = []
+        # (inputs, out, backward) per op, in forward order
+        self._nodes: list[tuple[tuple[Tensor, ...], Tensor, Callable[[np.ndarray], None]]] = []
 
     def __len__(self) -> int:
         return len(self._nodes)
 
     def _record(self, inputs: tuple[Tensor, ...], out: Tensor,
                 backward: Callable[[np.ndarray], None]) -> Tensor:
-        self._nodes.append(_Node(inputs, out, backward))
+        self._nodes.append((inputs, out, backward))
         return out
 
     # ---- ops ------------------------------------------------------------
@@ -130,10 +138,10 @@ class Graph:
         out = Tensor(x.data @ w.data if b is None else x.data @ w.data + b.data)
 
         def backward(g: np.ndarray) -> None:
-            x.grad += g @ w.data.T
-            w.grad += x.data.T @ g
+            _acc(x, g @ w.data.T)
+            _acc(w, x.data.T @ g)
             if b is not None:
-                b.grad += g.sum(axis=0)
+                _acc(b, g.sum(axis=0))
 
         return self._record((x, w) if b is None else (x, w, b), out, backward)
 
@@ -142,7 +150,7 @@ class Graph:
         mask = x.data > 0.0
 
         def backward(g: np.ndarray) -> None:
-            x.grad += g * mask
+            _acc(x, g * mask)
 
         return self._record((x,), out, backward)
 
@@ -150,18 +158,18 @@ class Graph:
         """Row-wise x_i / ||x_i||; rejects rows with norm below NORM_FLOOR."""
         if x.data.ndim != 2:
             raise DimensionError(f"l2_normalize expects a 2-d input, got {x.shape}")
-        norms = np.linalg.norm(x.data, axis=1)
-        bad = np.flatnonzero(norms < NORM_FLOOR)
-        if bad.size:
+        norms = np.sqrt(np.add.reduce(x.data * x.data, axis=1))  # np.linalg.norm's sum
+        if np.fmin.reduce(norms, initial=np.inf) < NORM_FLOOR:  # ignores NaN, as < does
+            bad = int(np.argmax(norms < NORM_FLOOR))
             raise DegenerateEmbeddingError(
-                f"row {int(bad[0])} has norm {norms[bad[0]]:.3e} < {NORM_FLOOR:g}")
+                f"row {bad} has norm {norms[bad]:.3e} < {NORM_FLOOR:g}")
         y = x.data / norms[:, None]
         out = Tensor(y)
 
         def backward(g: np.ndarray) -> None:
             # d/dx_i of x_i/||x_i||: remove the component of g along y_i
             inner = np.sum(g * y, axis=1, keepdims=True)
-            x.grad += (g - y * inner) / norms[:, None]
+            _acc(x, (g - y * inner) / norms[:, None])
 
         return self._record((x,), out, backward)
 
@@ -174,8 +182,8 @@ class Graph:
         out = Tensor(v.data @ u.data.T / tau)
 
         def backward(g: np.ndarray) -> None:
-            v.grad += g @ u.data / tau
-            u.grad += g.T @ v.data / tau
+            _acc(v, g @ u.data / tau)
+            _acc(u, g.T @ v.data / tau)
 
         return self._record((v, u), out, backward)
 
@@ -196,8 +204,8 @@ class Graph:
         def backward(g: np.ndarray) -> None:
             scale = float(g) / n
             delta = softmax.copy()
-            delta[np.diag_indices(n)] -= 1.0
-            logits.grad += scale * delta
+            delta.flat[::n + 1] -= 1.0
+            _acc(logits, scale * delta)
 
         return self._record((logits,), out, backward)
 
@@ -208,8 +216,8 @@ class Graph:
         out = Tensor(a.data + b.data)
 
         def backward(g: np.ndarray) -> None:
-            a.grad += g
-            b.grad += g
+            _acc(a, g.copy())
+            _acc(b, g.copy())
 
         return self._record((a, b), out, backward)
 
@@ -218,7 +226,7 @@ class Graph:
         out = Tensor(x.data * c)
 
         def backward(g: np.ndarray) -> None:
-            x.grad += g * c
+            _acc(x, g * c)
 
         return self._record((x,), out, backward)
 
@@ -234,9 +242,16 @@ class Graph:
         if bad.size:
             raise ClassIndexError(
                 f"id {int(idx[bad[0]])} out of range for table with {rows} rows")
+        return self._gather(table, idx)
+
+    def _gather(self, table: Tensor, idx: np.ndarray) -> Tensor:
+        """`gather` for a caller that has already checked `idx` is a flat
+        int64 array of rows inside the 2-d `table`."""
         out = Tensor(table.data[idx])
 
         def backward(g: np.ndarray) -> None:
+            if table.grad is None:
+                table.grad = np.zeros_like(table.data)
             np.add.at(table.grad, idx, g)
 
         return self._record((table,), out, backward)
@@ -246,34 +261,38 @@ class Graph:
         out = Tensor(x.data.sum())
 
         def backward(g: np.ndarray) -> None:
-            x.grad += g * np.ones_like(x.data)
+            _acc(x, g * np.ones_like(x.data))
 
         return self._record((x,), out, backward)
 
     # ---- reverse pass ----------------------------------------------------
 
     def backward(self, loss: Tensor, params: Sequence[Tensor] = ()) -> None:
-        """Set .grad to dLoss/d(t) for every tensor t on the tape, replaying
-        every node in reverse.
+        """Set .grad to dLoss/d(t) for every tensor t on the tape and in
+        `params`, replaying the tape in reverse.
 
-        `loss` must be a scalar produced by this graph. A tensor in `params`
-        that the loss never reaches gets an all-zero grad, not None.
+        Grads are cleared first and each one is its first contribution (see
+        `_acc`); nodes whose output the loss never reached are skipped.
+        `loss` must be a scalar produced by this graph. A tensor the loss
+        never reaches gets an all-zero grad, not None.
         """
         if loss.data.shape != ():
             raise ContractError(
                 f"backward requires a scalar loss, got shape {loss.data.shape}")
-        if not any(node.out is loss for node in self._nodes):
+        if not any(out is loss for _, out, _ in self._nodes):
             raise ContractError("backward requires a loss produced by this graph")
 
-        touched = {id(t): t for t in params}
-        for node in self._nodes:
-            touched.update((id(t), t) for t in node.inputs + (node.out,))
-        for t in touched.values():
-            t.grad = np.zeros_like(t.data)
-
+        tape = [t for inputs, out, _ in self._nodes for t in (out, *inputs)]
+        tape.extend(params)
+        for t in tape:
+            t.grad = None
         loss.grad = np.ones_like(loss.data)
-        for node in reversed(self._nodes):
-            node.backward(node.out.grad)
+        for _, out, backward in reversed(self._nodes):
+            if out.grad is not None:
+                backward(out.grad)
+        for t in tape:
+            if t.grad is None:
+                t.grad = np.zeros_like(t.data)
 
 
 # ---- gradient checking ----------------------------------------------------

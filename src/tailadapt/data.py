@@ -120,8 +120,10 @@ class LongTailedDataset:
         self.class_counts = np.asarray(self.class_counts, dtype=np.int64)
         if self.features.ndim != 2 or self.labels.ndim != 1:
             raise ConfigurationError("features must be 2-d with a flat label array")
-        finite = np.isfinite(self.features).all(axis=1)
-        if not finite.all():
+        # a NaN carries through min and max; the row mask only names the row
+        f = self.features
+        if f.size and not (np.isfinite(f.min()) and np.isfinite(f.max())):
+            finite = np.isfinite(f).all(axis=1)
             raise ConfigurationError(f"non-finite feature in row {int(np.argmin(finite))}")
         if self.features.shape[0] != self.labels.shape[0]:
             raise ConfigurationError(
@@ -198,7 +200,8 @@ def sample_clusters(means: np.ndarray, counts: np.ndarray, test_per_class: int,
     then test_per_class fresh test rows per class, drawn in that order."""
     k, dim = means.shape
     sizes = [int(n) for n in counts] + [test_per_class] * k
-    feats = [means[i % k] + sigma * rng.normal(size=(n, dim)) for i, n in enumerate(sizes)]
+    with np.errstate(over="ignore", invalid="ignore"):  # LongTailedDataset rejects non-finite rows
+        feats = [means[i % k] + sigma * rng.normal(size=(n, dim)) for i, n in enumerate(sizes)]
     labels = np.repeat(np.tile(np.arange(k, dtype=np.int64), 2), sizes)
     return LongTailedDataset(np.concatenate(feats), labels, counts, test_per_class,
                              class_means=means, noise_sigma=sigma)

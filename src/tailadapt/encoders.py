@@ -238,15 +238,18 @@ def text_features(g: Graph, params, class_ids) -> Tensor:
     class_ids may contain duplicates; each id yields its own row.
     """
     ids = np.asarray(class_ids, dtype=np.int64)
+    if ids.ndim != 1:
+        raise DimensionError(f"expected a flat list of class ids, got shape {ids.shape}")
     k_max = params.config.num_classes
     bad = ids[(ids < 0) | (ids >= k_max)]
     if bad.size:
         raise ClassIndexError(f"class id {int(bad[0])} outside [0, {k_max})")
     if isinstance(params, FrozenFeatures):
         return Tensor(params.text[ids])
-    cls_rows = g.gather(params.tensors["text/class_embedding"], ids)
-    tmpl_rows = g.gather(params.tensors["text/template_embedding"],
-                         np.zeros(len(ids), dtype=np.int64))
+    # the ids are checked above, so the gathers skip gather's own checks
+    cls_rows = g._gather(params.tensors["text/class_embedding"], ids)
+    tmpl_rows = g._gather(params.tensors["text/template_embedding"],
+                          np.zeros(len(ids), dtype=np.int64))
     h = _mlp(g, params.layers("text"), g.add(cls_rows, tmpl_rows))
     return g.affine(h, params.tensors["proj/text"])
 

@@ -335,6 +335,57 @@ def test_fanout_accumulates():
     assert np.array_equal(x.grad, [[3.0, 2.0]])
 
 
+def test_add_of_a_tensor_with_itself_keeps_out_grad():
+    # the first write becomes x.grad, so add must not hand over its own g
+    x = Tensor(np.array([[1.0, -2.0], [0.5, 3.0]]))
+    g = Graph()
+    out = g.add(x, x)
+    loss = g.sum(out)
+    g.backward(loss)
+    assert np.array_equal(x.grad, 2.0 * np.ones((2, 2)))
+    assert np.array_equal(out.grad, np.ones((2, 2)))
+
+
+def test_no_two_tape_tensors_share_a_grad():
+    rng = np.random.default_rng(8)
+    x, w, b, table = (Tensor(rng.normal(size=s)) for s in ((4, 3), (3, 5), (5,), (6, 5)))
+    g = Graph()
+    tensors = [x, w, b, table]
+    tensors.append(g.affine(x, w, b))
+    tensors.append(g.relu(tensors[-1]))
+    tensors.append(g.gather(table, [1, 1, 4, 0]))
+    tensors.append(h := g.add(tensors[-2], tensors[-1]))
+    tensors.append(g.scale(h, 0.5))
+    tensors.append(g.add(h, tensors[-1]))
+    tensors.append(y := g.l2_normalize(tensors[-1]))
+    tensors.append(g.similarity_matrix(y, y, 0.5))
+    tensors.append(loss := g.diagonal_cross_entropy(tensors[-1]))
+    assert len(g) == len(tensors) - 4  # every tensor on the tape is listed
+    g.backward(loss)
+    for i, s in enumerate(tensors):
+        for t in tensors[i + 1:]:
+            assert not np.shares_memory(s.grad, t.grad)
+
+
+def test_param_in_two_graphs_ends_with_the_second_grad():
+    w = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    g1 = Graph()
+    g1.backward(g1.sum(g1.scale(w, 3.0)), params=[w])
+    g2 = Graph()
+    g2.backward(g2.sum(g2.affine(Tensor(np.ones((1, 2))), w)), params=[w])
+    assert np.array_equal(w.grad, np.ones((2, 2)))
+
+
+def test_unreached_intermediate_gets_zero_grad():
+    x = Tensor(np.array([[1.0, -2.0]]))
+    g = Graph()
+    dead = g.scale(g.relu(x), 4.0)  # on the tape, but the loss never reads it
+    loss = g.sum(g.scale(x, 2.0))
+    g.backward(loss)
+    assert np.array_equal(dead.grad, np.zeros((1, 2)))
+    assert np.array_equal(x.grad, [[2.0, 2.0]])
+
+
 # ---- backward contracts -----------------------------------------------------
 
 

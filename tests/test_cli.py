@@ -1,9 +1,14 @@
 """End-to-end command-line flows, run in process via main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tailadapt
 from tailadapt.cli import main
 from tailadapt.data import read_dataset
 
@@ -83,6 +88,22 @@ def test_gen_data_rejects_non_finite_parameters(tmp_path, capsys, flags):
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert not out.exists()
+
+
+def test_gen_data_overflow_stderr_starts_with_error_in_a_fresh_process(tmp_path):
+    """Run as a subprocess, so a numpy RuntimeWarning would reach stderr
+    ahead of the error line instead of being captured by pytest."""
+    out = tmp_path / "d.ltds"
+    src = str(Path(tailadapt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tailadapt.cli", "gen-data", "--kind", "exp",
+         "--sigma", "1e308", "--out", str(out)],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[0].startswith("error:"), proc.stderr
     assert not out.exists()
 
 

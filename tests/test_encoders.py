@@ -113,6 +113,15 @@ def test_out_of_range_ids_rejected():
         encode_text(Graph(), params, [-1])
 
 
+@pytest.mark.parametrize("ids", [3, [[0, 1]]], ids=["0-d", "2-d"])
+def test_class_ids_must_be_a_flat_list(ids):
+    params = random_params()
+    features = FrozenFeatures(freeze(params), (np.zeros((1, 16)),))
+    for p in (params, features):
+        with pytest.raises(DimensionError, match="flat list of class ids"):
+            text_features(Graph(), p, ids)
+
+
 def test_wrong_input_width_rejected():
     with pytest.raises(DimensionError):
         encode_visual(Graph(), random_params(), Tensor(np.ones((2, 7))))

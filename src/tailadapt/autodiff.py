@@ -15,7 +15,9 @@ never reaches still ends with an all-zero grad.
 
 All values are dense float64. A `Graph` is single-writer: build a fresh one
 per forward pass; distinct graphs over distinct parameter copies are
-independent.
+independent. A `Forward` is a `Graph` that records nothing, for inference:
+its ops compute the same values bit for bit, each intermediate is freed once
+nothing reads it, and `backward` on it raises, since no loss is on its tape.
 """
 
 from __future__ import annotations
@@ -293,6 +295,14 @@ class Graph:
         for t in tape:
             if t.grad is None:
                 t.grad = np.zeros_like(t.data)
+
+
+class Forward(Graph):
+    """A graph without a tape: the same ops and values, and nothing kept."""
+
+    def _record(self, inputs: tuple[Tensor, ...], out: Tensor,
+                backward: Callable[[np.ndarray], None]) -> Tensor:
+        return out
 
 
 # ---- gradient checking ----------------------------------------------------

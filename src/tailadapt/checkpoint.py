@@ -21,7 +21,11 @@ and `FrozenView.verify()` proves the parameters never moved meanwhile, by
 comparing their digest at freeze and after the phase.
 
 Every file the package writes, in this format or another, goes through
-`replacing`, so a reader never sees a half-written file.
+`replacing`, so a reader never sees a half-written file. Every file it reads
+goes through `ByteReader`, which reads from the open file and checks each
+length the file declares against the file's size before it reads or
+allocates anything. `read_arrays` reads each payload straight into its
+array, so a load holds the data once, in aligned, writable arrays.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ def digest_arrays(named: Iterable[tuple[str, np.ndarray]]) -> str:
         h.update(name.encode("utf-8"))
         h.update(b"\x00")
         h.update(struct.pack(f"<B{a.ndim}Q", a.ndim, *a.shape))
-        h.update(a.tobytes())
+        h.update(np.ascontiguousarray(a))  # C order; 1-d for a 0-d array
     return h.hexdigest()
 
 
@@ -84,33 +88,58 @@ def write_arrays(path, named: Sequence[tuple[str, np.ndarray]]) -> None:
     with replacing(path) as f:
         f.write(struct.pack("<4sII", MAGIC, VERSION, len(named)))
         for name, arr in named:
-            a = np.asarray(arr, dtype="<f8")  # tobytes() is C order; keeps 0-d
+            a = np.asarray(arr, dtype="<f8")
             encoded = name.encode("utf-8")
             f.write(struct.pack(f"<H{len(encoded)}sB{a.ndim}Q", len(encoded), encoded,
                                 a.ndim, *a.shape))
-            f.write(a.tobytes())
+            f.write(np.ascontiguousarray(a))  # C order; 1-d for a 0-d array
 
 
 class ByteReader:
-    """A whole file's bytes and a read offset, so format errors can point at
-    it. Every failure raises `error` with the path in the message."""
+    """An open file and a read offset, so format errors can point at it.
+    Every failure raises `error` with the path in the message.
+
+    A context manager: the file closes however the read ends. Each length is
+    checked against the file size before anything is read or allocated for
+    it, and then exactly that many bytes are read.
+    """
 
     def __init__(self, path, error: type[TailAdaptError]):
-        with open(path, "rb") as f:
-            self.blob = memoryview(f.read())  # slices share, never copy
         self.path = path
         self.error = error
+        self.file = open(path, "rb")
+        self.size = os.fstat(self.file.fileno()).st_size
         self.pos = 0
+
+    def __enter__(self) -> "ByteReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.file.close()
 
     def fail(self, message: str) -> NoReturn:
         raise self.error(f"{self.path}: {message}")
 
-    def take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.blob):
+    def check(self, n: int) -> None:
+        """Fail unless n more bytes follow the offset."""
+        if n > self.size - self.pos:
             self.fail(f"truncated at byte {self.pos}, needed {n} more")
-        chunk = self.blob[self.pos:self.pos + n]
-        self.pos += n
+
+    def take(self, n: int) -> bytearray:
+        self.check(n)  # before the allocation: a corrupt length can claim TiBs
+        chunk = bytearray(n)
+        self.into(chunk)
         return chunk
+
+    def into(self, buffer) -> None:
+        """Fill a C-contiguous buffer, such as an array, with the next bytes."""
+        view = memoryview(buffer)
+        n = view.nbytes
+        self.check(n)
+        # a view with a zero in its shape cannot be cast, and needs no read
+        if n and self.file.readinto(view.cast("B")) != n:  # the file shrank meanwhile
+            self.fail(f"truncated at byte {self.pos}, needed {n} more")
+        self.pos += n
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
@@ -123,7 +152,7 @@ class ByteReader:
             self.fail(f"unsupported version {found}")
 
     def expect_remaining(self, n: int) -> None:
-        left = len(self.blob) - self.pos
+        left = self.size - self.pos
         if left < n:
             self.fail(f"truncated: {n} bytes needed after byte {self.pos}, {left} left")
         if left > n:
@@ -131,24 +160,25 @@ class ByteReader:
 
 
 def read_arrays(path) -> list[tuple[str, np.ndarray]]:
-    r = ByteReader(path, CheckpointFormatError)
-    r.header(MAGIC, VERSION)
-    (count,) = r.unpack("<I")
-    out: list[tuple[str, np.ndarray]] = []
-    for _ in range(count):
-        (name_len,) = r.unpack("<H")
-        try:
-            name = bytes(r.take(name_len)).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            r.fail(f"array name at byte {r.pos - name_len} is not utf-8 ({exc.reason})")
-        rank_at = r.pos
-        (rank,) = r.unpack("<B")
-        dims = r.unpack(f"<{rank}Q")
-        flat = np.frombuffer(r.take(8 * math.prod(dims)), "<f8")
-        try:
-            arr = flat.reshape(dims).copy()
-        except ValueError:  # rank or a zero-size dim past what numpy supports
-            r.fail(f"shape of rank {rank} at byte {rank_at} is not supported")
-        out.append((name, arr))
-    r.expect_remaining(0)
+    with ByteReader(path, CheckpointFormatError) as r:
+        r.header(MAGIC, VERSION)
+        (count,) = r.unpack("<I")
+        out: list[tuple[str, np.ndarray]] = []
+        for _ in range(count):
+            (name_len,) = r.unpack("<H")
+            try:
+                name = r.take(name_len).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                r.fail(f"array name at byte {r.pos - name_len} is not utf-8 ({exc.reason})")
+            rank_at = r.pos
+            (rank,) = r.unpack("<B")
+            dims = r.unpack(f"<{rank}Q")
+            r.check(8 * math.prod(dims))
+            try:
+                arr = np.empty(dims, "<f8")
+            except ValueError:  # rank or a zero-size dim past what numpy supports
+                r.fail(f"shape of rank {rank} at byte {rank_at} is not supported")
+            r.into(arr)
+            out.append((name, arr))
+        r.expect_remaining(0)
     return out

@@ -200,10 +200,13 @@ def sample_clusters(means: np.ndarray, counts: np.ndarray, test_per_class: int,
     then test_per_class fresh test rows per class, drawn in that order."""
     k, dim = means.shape
     sizes = [int(n) for n in counts] + [test_per_class] * k
+    feats = np.empty((sum(sizes), dim))
+    blocks = np.split(feats, np.cumsum(sizes)[:-1])
     with np.errstate(over="ignore", invalid="ignore"):  # LongTailedDataset rejects non-finite rows
-        feats = [means[i % k] + sigma * rng.normal(size=(n, dim)) for i, n in enumerate(sizes)]
+        for i, (n, block) in enumerate(zip(sizes, blocks)):
+            np.add(means[i % k], sigma * rng.normal(size=(n, dim)), out=block)
     labels = np.repeat(np.tile(np.arange(k, dtype=np.int64), 2), sizes)
-    return LongTailedDataset(np.concatenate(feats), labels, counts, test_per_class,
+    return LongTailedDataset(feats, labels, counts, test_per_class,
                              class_means=means, noise_sigma=sigma)
 
 
@@ -435,40 +438,66 @@ def draw_batch(state: SamplerState, dataset: LongTailedDataset,
 # ---- dataset files ----------------------------------------------------------
 
 
+# file reads and writes go through one record buffer of about this size
+IO_BUFFER_BYTES = 2 ** 21
+
+
 def _row_dtype(feature_dim: int) -> np.dtype:
     return np.dtype([("label", "<u4"), ("f", "<f8", (feature_dim,))])
 
 
+def _row_blocks(feature_dim: int, n_rows: int):
+    """(row slice, records) for each block of rows in file order; every block
+    is the front of one reused buffer of at least one record."""
+    row = _row_dtype(feature_dim)
+    buf = np.empty(max(1, IO_BUFFER_BYTES // row.itemsize), row)
+    for start in range(0, n_rows, buf.shape[0]):
+        records = buf[:n_rows - start]
+        yield slice(start, start + records.shape[0]), records
+
+
 def write_dataset(dataset: LongTailedDataset, path) -> None:
     k = dataset.num_classes
-    rows = np.empty(dataset.labels.shape[0], dtype=_row_dtype(dataset.feature_dim))
-    rows["label"] = dataset.labels
-    rows["f"] = dataset.features
+    n_total = dataset.labels.shape[0]
     with replacing(path) as f:
-        f.write(struct.pack(f"<4sIQII{k}QQ", MAGIC, VERSION, rows.shape[0],
+        f.write(struct.pack(f"<4sIQII{k}QQ", MAGIC, VERSION, n_total,
                             dataset.feature_dim, k, *dataset.class_counts.tolist(),
                             dataset.test_per_class))
-        f.write(rows)
+        for rows, records in _row_blocks(dataset.feature_dim, n_total):
+            records["label"] = dataset.labels[rows]
+            records["f"] = dataset.features[rows]
+            f.write(records)
+
+
+def _read_rows(r: ByteReader, n_total: int, feature_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    features = np.empty((n_total, feature_dim))
+    labels = np.empty(n_total, dtype=np.int64)
+    for rows, records in _row_blocks(feature_dim, n_total):
+        r.into(records)
+        features[rows] = records["f"]
+        labels[rows] = records["label"]
+    return features, labels
 
 
 def read_dataset(path) -> LongTailedDataset:
-    """Byte-level checks here; the row invariants are LongTailedDataset's."""
-    r = ByteReader(path, DatasetFormatError)
-    r.header(MAGIC, VERSION)
-    n_total, feature_dim, num_classes = r.unpack("<QII")
-    counts = r.unpack(f"<{num_classes}Q")
-    (test_per_class,) = r.unpack("<Q")
-    expected = sum(counts) + num_classes * test_per_class
-    if n_total != expected:
-        r.fail(f"header says {n_total} rows but counts imply {expected}")
-    if n_total == 0:
-        r.fail("header declares no rows")
-    # check the length before building the row dtype: a corrupt header can
-    # claim TiBs, or a width no dtype can hold
-    r.expect_remaining(n_total * (4 + 8 * feature_dim))
-    rows = np.frombuffer(r.blob, _row_dtype(feature_dim), count=n_total, offset=r.pos)
-    try:
-        return LongTailedDataset(np.ascontiguousarray(rows["f"]), rows["label"],
-                                 np.array(counts, dtype=np.int64), test_per_class)
-    except ConfigurationError as exc:
-        r.fail(str(exc))
+    """Byte-level checks here; the row invariants are LongTailedDataset's.
+    The rows stream through one record buffer into the final arrays."""
+    with ByteReader(path, DatasetFormatError) as r:
+        r.header(MAGIC, VERSION)
+        n_total, feature_dim, num_classes = r.unpack("<QII")
+        counts = r.unpack(f"<{num_classes}Q")
+        (test_per_class,) = r.unpack("<Q")
+        expected = sum(counts) + num_classes * test_per_class
+        if n_total != expected:
+            r.fail(f"header says {n_total} rows but counts imply {expected}")
+        if n_total == 0:
+            r.fail("header declares no rows")
+        # check the length before building the row dtype or allocating rows: a
+        # corrupt header can claim TiBs, or a width no dtype can hold
+        r.expect_remaining(n_total * (4 + 8 * feature_dim))
+        features, labels = _read_rows(r, n_total, feature_dim)
+        try:
+            return LongTailedDataset(features, labels, np.array(counts, dtype=np.int64),
+                                     test_per_class)
+        except ConfigurationError as exc:
+            r.fail(str(exc))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .autodiff import Graph, Tensor
+from .autodiff import Forward, Graph, Tensor
 from .checkpoint import digest_arrays
 from .errors import ClassIndexError, ConfigurationError, DimensionError
 
@@ -192,19 +192,19 @@ def freeze(params: ModelParams) -> FrozenView:
 class FrozenFeatures:
     """A frozen backbone's projected features, computed once, read-only.
 
-    `rows` holds visual_features of each input split in turn, every split
-    forwarded in its own Graph so only one split's activations are alive at
-    a time; `text` holds text_features of every class. Passed as the
-    backbone, its input rows are rows of `rows`: visual_features hands them
-    back and text_features looks class rows up in `text`, and neither
-    records a tape node.
+    `rows` holds visual_features of each input split in turn, each forwarded
+    without a tape, so an activation is freed once the next layer has read
+    it; `text` holds text_features of every class. Passed as the backbone,
+    its input rows are rows of `rows`: visual_features hands them back and
+    text_features looks class rows up in `text`, and neither records a tape
+    node.
     """
 
     def __init__(self, frozen: FrozenView, splits):
         self.config = frozen.config
         self.rows = np.concatenate(
-            [visual_features(Graph(), frozen, Tensor(x)).data for x in splits])
-        self.text = text_features(Graph(), frozen, np.arange(self.config.num_classes)).data
+            [visual_features(Forward(), frozen, Tensor(x)).data for x in splits])
+        self.text = text_features(Forward(), frozen, np.arange(self.config.num_classes)).data
         self.rows.flags.writeable = self.text.flags.writeable = False
 
 

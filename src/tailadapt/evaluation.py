@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adapter import AdapterParams, adapted_text, adapted_visual
-from .autodiff import Graph, Tensor
+from .autodiff import Forward, Tensor
 from .contrastive import ClassBank, predict_batch
 from .data import SHOT_FEW, SHOT_MANY, SHOT_MEDIUM, LongTailedDataset, shot_split
 from .encoders import encode_text, encode_visual
@@ -102,7 +102,7 @@ def metrics_from_predictions(predictions, labels, class_counts) -> Metrics:
 def build_class_bank(params, adapter: AdapterParams | None) -> ClassBank:
     """Text embedding per class, through the adapter when it covers language."""
     class_ids = np.arange(params.config.num_classes)
-    g = Graph()
+    g = Forward()
     if adapter is not None and adapter.adapts_language:
         rows = adapted_text(g, params, adapter, class_ids)
     else:
@@ -118,7 +118,7 @@ def predict_test_split(params, adapter: AdapterParams | None, dataset: LongTaile
         raise DimensionError(f"model has {params.config.num_classes} classes, "
                              f"dataset has {dataset.num_classes}")
     bank = build_class_bank(params, adapter)
-    g = Graph()
+    g = Forward()
     x = Tensor(dataset.test_features)
     if adapter is not None and adapter.adapts_visual:
         rows = adapted_visual(g, params, adapter, x)

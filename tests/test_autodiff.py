@@ -13,6 +13,7 @@ import pytest
 
 from tailadapt.autodiff import (
     NORM_FLOOR,
+    Forward,
     GradCheckReport,
     Graph,
     Tensor,
@@ -20,6 +21,7 @@ from tailadapt.autodiff import (
     finite_difference_check,
     grad_check,
 )
+from tailadapt.encoders import ModelConfig, ModelParams, encode_text, encode_visual
 from tailadapt.errors import (
     ClassIndexError,
     ContractError,
@@ -502,3 +504,38 @@ def test_grad_check_zero_loss_zero_grads():
     assert np.array_equal(grads["x"], np.zeros((2, 2)))
     report = grad_check(build, [("x", x)])
     assert report.passed
+
+
+# ---- tape-free forward ----------------------------------------------------
+
+
+def test_forward_records_no_node():
+    rng = np.random.default_rng(5)
+    x, w = Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(4, 2)))
+    g = Forward()
+    out = g.l2_normalize(g.relu(g.affine(x, w)))
+    assert len(g) == 0
+    reference = Graph()
+    expected = reference.l2_normalize(reference.relu(reference.affine(x, w)))
+    assert len(reference) == 3
+    assert out.data.tobytes() == expected.data.tobytes()
+
+
+def test_forward_encoder_outputs_equal_graph_bits():
+    params = ModelParams.init(ModelConfig(input_dim=16, num_classes=20), seed=3)
+    x = Tensor(np.random.default_rng(6).normal(size=(50, 16)))
+    ids = np.arange(20)
+    g = Graph()
+    visual, text = encode_visual(g, params, x), encode_text(g, params, ids)
+    assert len(g) > 0
+    f = Forward()
+    assert encode_visual(f, params, x).data.tobytes() == visual.data.tobytes()
+    assert encode_text(f, params, ids).data.tobytes() == text.data.tobytes()
+    assert len(f) == 0
+
+
+def test_backward_on_forward_raises():
+    g = Forward()
+    loss = g.sum(g.relu(Tensor([[1.0, -2.0]])))
+    with pytest.raises(ContractError, match="produced by this graph"):
+        g.backward(loss)

@@ -49,6 +49,19 @@ def test_digest_variants_reach_the_sampler_fallbacks():
         c.dataset.num_classes, c.dataset.n_max, c.dataset.rho) for c in configs)
 
 
+def test_the_several_buffer_file_ends_in_a_partial_buffer(tmp_path):
+    from tailadapt import data
+    from tailadapt.cli import main
+
+    out = tmp_path / "data.ltds"
+    assert main(["gen-data", *_bench_pairs().GEN_DATA["exp several_buffers"], "--seed", "0",
+                 "--out", str(out)]) == 0
+    ds = data.read_dataset(out)
+    per_buffer = data.IO_BUFFER_BYTES // data._row_dtype(ds.feature_dim).itemsize
+    assert ds.labels.shape[0] > 2 * per_buffer
+    assert ds.labels.shape[0] % per_buffer != 0
+
+
 def test_src_lines_counts_python_files_under_src_only(tmp_path):
     (tmp_path / "src" / "pkg").mkdir(parents=True)
     (tmp_path / "src" / "pkg" / "a.py").write_text("x = 1\n\ny = 2\n")

@@ -1,9 +1,13 @@
 """Named-array checkpoint files: round trips, ordering, and digests."""
 
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from tailadapt.checkpoint import (
+    ByteReader,
     backbone_digest,
     digest_arrays,
     read_arrays,
@@ -73,6 +77,24 @@ def test_zero_d_array_keeps_its_shape(tmp_path):
     assert name == "scalar" and arr.shape == () and arr == 2.5
 
 
+def test_load_holds_the_payload_once_in_aligned_writable_arrays(tmp_path):
+    rng = np.random.default_rng(1)
+    arrays = [(f"layer/{i}", rng.normal(size=(256, 512))) for i in range(4)]
+    arrays += [("scalar", np.array(0.5)), ("empty", np.zeros((0, 3)))]
+    path = tmp_path / "big.ltck"
+    write_arrays(path, arrays)
+    tracemalloc.start()
+    try:
+        back = read_arrays(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * path.stat().st_size
+    for (name, a), (back_name, b) in zip(arrays, back):
+        assert back_name == name and b.shape == a.shape and np.array_equal(a, b)
+        assert b.flags.writeable and b.flags.aligned and b.flags.c_contiguous
+
+
 def test_rank_past_numpy_limit_reports_offset(tmp_path):
     import struct
     rank = 70
@@ -102,6 +124,15 @@ def test_truncation_reports_offset(tmp_path):
     path.write_bytes(blob[:len(blob) // 2])
     with pytest.raises(CheckpointFormatError, match="truncated at byte"):
         read_arrays(path)
+
+
+def test_a_file_cut_while_open_is_a_format_error(tmp_path):
+    path = tmp_path / "cut.ltck"
+    write_arrays(path, sample_arrays())
+    with ByteReader(path, CheckpointFormatError) as r:
+        os.truncate(path, 20)  # after the size was taken
+        with pytest.raises(CheckpointFormatError, match="truncated at byte 0, needed 40 more"):
+            r.take(40)
 
 
 def test_non_utf8_name_reports_offset(tmp_path):

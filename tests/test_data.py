@@ -2,6 +2,7 @@
 the dataset file format."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -541,6 +542,53 @@ def test_header_without_rows_rejected(tmp_path):
                      + _struct.pack("<QQ", 0, 0))
     with pytest.raises(DatasetFormatError, match="no rows"):
         read_dataset(path)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.fixture(scope="module")
+def several_buffers():
+    """A dataset of about 16 MiB on file, more than three full row buffers
+    and part of one more."""
+    ds = synth_exponential(40, 2000, 10.0, 64, seed=2)
+    per_buffer = data.IO_BUFFER_BYTES // data._row_dtype(64).itemsize
+    assert ds.labels.shape[0] // per_buffer >= 3
+    assert ds.labels.shape[0] % per_buffer != 0
+    return ds
+
+
+def test_several_buffers_round_trip_holds_the_rows_once(tmp_path, several_buffers):
+    ds = several_buffers
+    path = tmp_path / "big.ltds"
+    _, write_peak = _traced_peak(write_dataset, ds, path)
+    assert write_peak < 2 * data.IO_BUFFER_BYTES + 2 ** 20
+    back, read_peak = _traced_peak(read_dataset, path)
+    assert read_peak < 1.25 * path.stat().st_size
+    assert np.array_equal(back.features, ds.features)
+    assert np.array_equal(back.labels, ds.labels)
+    assert np.array_equal(back.class_counts, ds.class_counts)
+    assert back.test_per_class == ds.test_per_class
+    second = tmp_path / "again.ltds"
+    write_dataset(back, second)
+    assert second.read_bytes() == path.read_bytes()
+
+
+def test_a_row_wider_than_the_buffer_still_round_trips(tmp_path):
+    dim = data.IO_BUFFER_BYTES // 8 + 1
+    ds = synth_exponential(2, 2, 1.0, dim, seed=3, test_per_class=1)
+    path = tmp_path / "wide.ltds"
+    write_dataset(ds, path)
+    back = read_dataset(path)
+    assert np.array_equal(back.features, ds.features)
+    assert np.array_equal(back.labels, ds.labels)
 
 
 def test_train_rows_for_class_in_row_order():

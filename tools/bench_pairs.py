@@ -16,8 +16,10 @@ every metric, judged against the bounds in BENCHMARK.json; a workload with
 runs from one side only is listed under "incomplete" instead. `digests` runs
 the fixed config matrix below in both checkouts at once and compares the
 sha256 of every checkpoint, log, metrics file, sweep row, grid row and
-`gen-data` file; it prints matched/total and each mismatch, and exits 1 on
-any. It also prints each checkout's `src/` line count and the difference.
+`gen-data` file, and of what the readers make of them: the arrays
+`read_dataset` returns for each `gen-data` file, and, for each default-variant
+run, `save_checkpoint` of the model `load_checkpoint` returns. It prints
+matched/total and each mismatch, and exits 1 on any. It also prints each checkout's `src/` line count and the difference.
 Run it from the root of the changed checkout; every run happens in its own
 checkout.
 """
@@ -39,7 +41,8 @@ SIDES = ("parent", "change")
 # the digest matrix: every mode under each of these config-file overrides,
 # per seed, plus one lambda sweep per seed and sweep mode (the sweep ignores
 # the mode) and one ablation grid per seed over ABLATION_AXES, and one
-# `gen-data` file per seed and GEN_DATA_KINDS kind. An odd batch carries the
+# `gen-data` file per seed and GEN_DATA entry. The last entry's rows fill
+# several of the dataset reader's and writer's buffers and part of one more. An odd batch carries the
 # sampler's buffered 32-bit half across batches, and rho 200 leaves the tail
 # class one row, which the sampler draws pick by pick. Phase B trains on
 # features projected one split at a time, so its batches match only while
@@ -60,7 +63,9 @@ VARIANTS = {
 SWEEP_LAMBDAS = (0.0, 0.2, 0.5, 0.9)
 SWEEP_MODES = ("two_phase", "joint")
 ABLATION_AXES = ["placement", "sampler"]
-GEN_DATA_KINDS = ("exp", "pareto")
+GEN_DATA = {"exp": ["--kind", "exp"], "pareto": ["--kind", "pareto"],
+            "exp several_buffers": ["--kind", "exp", "--classes", "50", "--n-max", "1000",
+                                    "--dim", "64"]}
 
 
 def seed_list(text: str) -> list[int]:
@@ -210,14 +215,20 @@ def cmd_matrix(args) -> None:
     import tailadapt
     from tailadapt.cli import main as cli_main
     from tailadapt.experiments import ablation_grid, sweep_lambda
-    from tailadapt.training import RunConfig, run, save_run
+    from tailadapt.data import read_dataset
+    from tailadapt.training import RunConfig, load_checkpoint, run, save_checkpoint, save_run
 
     paths = {kind: os.path.join(args.tmp, f"{kind}.out")
              for kind in ("checkpoint", "log", "metrics")}
+    reloaded = os.path.join(args.tmp, "reloaded.out")
 
-    def artifacts(config: RunConfig) -> dict:
+    def artifacts(config: RunConfig, reload: bool) -> dict:
         save_run(run(replace(config, **{f"{kind}_path": p for kind, p in paths.items()})))
-        return {kind: Path(p).read_bytes() for kind, p in paths.items()}
+        out = {kind: Path(p).read_bytes() for kind, p in paths.items()}
+        if reload:
+            save_checkpoint(reloaded, *load_checkpoint(paths["checkpoint"]))
+            out["reloaded checkpoint"] = Path(reloaded).read_bytes()
+        return out
 
     def sweep_rows(config: RunConfig) -> dict:
         rows = sweep_lambda(config, SWEEP_LAMBDAS)
@@ -227,30 +238,34 @@ def cmd_matrix(args) -> None:
         rows = ablation_grid(config, ABLATION_AXES)
         return {f"cell={i}": json.dumps(row).encode() for i, row in enumerate(rows)}
 
-    def gen_data(kind: str, seed: int) -> dict:
-        out = os.path.join(args.tmp, f"{kind}.ltds")
+    def gen_data(argv: list[str], seed: int) -> dict:
+        out = os.path.join(args.tmp, "data.ltds")
         with redirect_stdout(sys.stderr):  # keep stdout to the digest lines
-            code = cli_main(["gen-data", "--kind", kind, "--seed", str(seed), "--out", out])
+            code = cli_main(["gen-data", *argv, "--seed", str(seed), "--out", out])
         if code != 0:
             raise RuntimeError(f"gen-data exited {code}")
-        return {"file": Path(out).read_bytes()}
+        back = read_dataset(out)
+        return {"file": Path(out).read_bytes(), "read features": back.features.tobytes(),
+                "read labels": back.labels.tobytes(),
+                "read class_counts": back.class_counts.tobytes()}
 
     print(json.dumps({"source": tailadapt.__file__}), flush=True)
     for seed in seed_list(args.seeds):
         for variant, overrides in VARIANTS.items():
             for mode in MODES:
                 config = RunConfig.from_dict({**overrides, "seed": seed, "mode": mode})
+                reload = variant == "default"
                 print(json.dumps(digest_or_error(f"seed={seed} {variant} {mode}",
-                                                 lambda: artifacts(config))), flush=True)
+                                                 lambda: artifacts(config, reload))), flush=True)
         for mode in SWEEP_MODES:
             config = RunConfig(seed=seed, mode=mode)
             print(json.dumps(digest_or_error(f"seed={seed} sweep_lambda {mode}",
                                              lambda: sweep_rows(config))), flush=True)
         print(json.dumps(digest_or_error(f"seed={seed} ablation_grid",
                                          lambda: grid_rows(RunConfig(seed=seed)))), flush=True)
-        for kind in GEN_DATA_KINDS:
-            print(json.dumps(digest_or_error(f"seed={seed} gen-data {kind}",
-                                             lambda: gen_data(kind, seed))), flush=True)
+        for name, argv in GEN_DATA.items():
+            print(json.dumps(digest_or_error(f"seed={seed} gen-data {name}",
+                                             lambda: gen_data(argv, seed))), flush=True)
 
 
 def src_lines(root) -> int:

@@ -83,8 +83,7 @@ def adapt(g: Graph, f: Tensor, weight: Tensor, bias: Tensor, lam: float) -> Tens
     """lam * relu(W f + b) + (1 - lam) * f, rows independent."""
     if not 0.0 <= lam <= 1.0:
         raise ConfigurationError(f"lambda must be in [0, 1], got {lam}")
-    refined = g.relu(g.affine(f, weight, bias))
-    return g.add(g.scale(refined, lam), g.scale(f, 1.0 - lam))
+    return g.blend(g.affine_relu(f, weight, bias), f, lam)
 
 
 def adapted_visual(g: Graph, params, adapter: AdapterParams, x: Tensor) -> Tensor:

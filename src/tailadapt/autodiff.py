@@ -1,12 +1,16 @@
 """Minimal reverse-mode automatic differentiation over a closed op set.
 
-The training stack only needs a handful of operations (affine maps, ReLU,
-row-wise l2 normalization, a scaled similarity matrix, cross-entropy against
-the diagonal, elementwise add, scalar scale, row gather, and a full sum), so
-the engine records exactly those on a forward-ordered tape and replays the
-whole tape in reverse, so every tensor on it gets its gradient. Keeping the
-set closed means every backward rule is small enough to verify independently
-against central finite differences.
+The training stack only needs a handful of operations (`affine`,
+`affine_relu`, row-wise `l2_normalize`, the `contrastive` head, a table
+`lookup` plus a shared row, a `blend` of two tensors, elementwise `add`, and
+a full `sum`), so the engine records exactly those on a forward-ordered tape
+and replays the whole tape in reverse, so every tensor on it gets its
+gradient. Keeping the set closed means every backward rule is small enough to
+verify independently against central finite differences. An op that fuses
+several steps (a hidden layer, similarity plus cross-entropy, lookup plus add,
+scale plus add) does their arithmetic in their order, so its value and grads
+are bit for bit those of the steps composed, while its one node keeps less
+alive until backward.
 
 A backward rule hands each input's contribution to `_acc` as a fresh array.
 The first contribution a tensor receives becomes its `.grad` and later ones
@@ -106,6 +110,15 @@ class GradCheckReport:
         return max((e.max_rel_err for e in self.entries), default=0.0)
 
 
+def _check_affine(x: Tensor, w: Tensor, b_shape: tuple[int, ...]) -> None:
+    if x.data.ndim != 2 or w.data.ndim != 2 or len(b_shape) != 1:
+        raise DimensionError(
+            f"affine expects x 2-d, w 2-d, b 1-d; got {x.shape}, {w.shape}, {b_shape}")
+    if x.shape[1] != w.shape[0] or w.shape[1] != b_shape[0]:
+        raise DimensionError(
+            f"affine shape mismatch: x {x.shape}, w {w.shape}, b {b_shape}")
+
+
 class Graph:
     """Forward-ordered tape of op records.
 
@@ -130,13 +143,7 @@ class Graph:
 
     def affine(self, x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         """out[i, j] = sum_k x[i, k] w[k, j] + b[j]; without b, no bias term."""
-        b_shape = w.shape[1:] if b is None else b.shape
-        if x.data.ndim != 2 or w.data.ndim != 2 or len(b_shape) != 1:
-            raise DimensionError(
-                f"affine expects x 2-d, w 2-d, b 1-d; got {x.shape}, {w.shape}, {b_shape}")
-        if x.shape[1] != w.shape[0] or w.shape[1] != b_shape[0]:
-            raise DimensionError(
-                f"affine shape mismatch: x {x.shape}, w {w.shape}, b {b_shape}")
+        _check_affine(x, w, w.shape[1:] if b is None else b.shape)
         out = Tensor(x.data @ w.data if b is None else x.data @ w.data + b.data)
 
         def backward(g: np.ndarray) -> None:
@@ -147,14 +154,20 @@ class Graph:
 
         return self._record((x, w) if b is None else (x, w, b), out, backward)
 
-    def relu(self, x: Tensor) -> Tensor:
-        out = Tensor(np.maximum(x.data, 0.0))
-        mask = x.data > 0.0
+    def affine_relu(self, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+        """relu(x @ w + b) as one node. It keeps its output, not the
+        pre-activation: the output is positive exactly where that was."""
+        _check_affine(x, w, b.shape)
+        y = x.data @ w.data + b.data
+        out = Tensor(np.maximum(y, 0.0, out=y))
 
         def backward(g: np.ndarray) -> None:
-            _acc(x, g * mask)
+            g = g * (y > 0.0)
+            _acc(x, g @ w.data.T)
+            _acc(w, x.data.T @ g)
+            _acc(b, g.sum(axis=0))
 
-        return self._record((x,), out, backward)
+        return self._record((x, w, b), out, backward)
 
     def l2_normalize(self, x: Tensor) -> Tensor:
         """Row-wise x_i / ||x_i||; rejects rows with norm below NORM_FLOOR."""
@@ -175,41 +188,31 @@ class Graph:
 
         return self._record((x,), out, backward)
 
-    def similarity_matrix(self, v: Tensor, u: Tensor, tau: float) -> Tensor:
-        """out[i, j] = (v_i . u_j) / tau. Inputs are expected row-normalized."""
+    def contrastive(self, v: Tensor, u: Tensor, tau: float) -> Tensor:
+        """-(1/N) sum_i log softmax_j((v_i . u_j) / tau)[i]: the similarity
+        matrix and the cross-entropy against its diagonal as one node, which
+        keeps only the softmax. Rows are expected unit-norm; the softmax is
+        stabilized by each row's max."""
         check_temperature(tau)
-        if v.data.ndim != 2 or u.data.ndim != 2 or v.shape[1] != u.shape[1]:
+        if v.data.ndim != 2 or v.shape != u.shape:
             raise DimensionError(
-                f"similarity_matrix expects matching widths, got {v.shape} and {u.shape}")
-        out = Tensor(v.data @ u.data.T / tau)
+                f"contrastive expects two 2-d inputs of one shape, got {v.shape} and {u.shape}")
+        n = v.shape[0]
+        shifted = v.data @ u.data.T / tau
+        shifted -= shifted.max(axis=1, keepdims=True)
+        softmax = np.exp(shifted)
+        denom = softmax.sum(axis=1, keepdims=True)
+        out = Tensor(-np.mean(np.diagonal(shifted) - np.log(denom[:, 0])))
+        softmax /= denom
 
         def backward(g: np.ndarray) -> None:
-            _acc(v, g @ u.data / tau)
-            _acc(u, g.T @ v.data / tau)
-
-        return self._record((v, u), out, backward)
-
-    def diagonal_cross_entropy(self, logits: Tensor) -> Tensor:
-        """-(1/N) sum_i log softmax(logits[i, :])[i], stabilized by row max."""
-        if logits.data.ndim != 2 or logits.shape[0] != logits.shape[1]:
-            raise DimensionError(
-                f"diagonal_cross_entropy expects a square matrix, got {logits.shape}")
-        n = logits.shape[0]
-        row_max = logits.data.max(axis=1, keepdims=True)
-        shifted = logits.data - row_max
-        exp = np.exp(shifted)
-        denom = exp.sum(axis=1, keepdims=True)
-        log_probs = shifted - np.log(denom)
-        out = Tensor(-np.mean(np.diagonal(log_probs)))
-        softmax = exp / denom
-
-        def backward(g: np.ndarray) -> None:
-            scale = float(g) / n
             delta = softmax.copy()
             delta.flat[::n + 1] -= 1.0
-            _acc(logits, scale * delta)
+            delta *= float(g) / n
+            _acc(v, delta @ u.data / tau)
+            _acc(u, delta.T @ v.data / tau)
 
-        return self._record((logits,), out, backward)
+        return self._record((v, u), out, backward)
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
         """Elementwise sum; shapes must match exactly (no broadcasting)."""
@@ -223,40 +226,44 @@ class Graph:
 
         return self._record((a, b), out, backward)
 
-    def scale(self, x: Tensor, c: float) -> Tensor:
-        c = float(c)
-        out = Tensor(x.data * c)
+    def blend(self, a: Tensor, f: Tensor, lam: float) -> Tensor:
+        """lam * a + (1 - lam) * f, elementwise; shapes must match exactly."""
+        if a.shape != f.shape:
+            raise DimensionError(f"blend shape mismatch: {a.shape} vs {f.shape}")
+        lam = float(lam)
+        rest = 1.0 - lam
+        out = Tensor(a.data * lam + f.data * rest)
 
         def backward(g: np.ndarray) -> None:
-            _acc(x, g * c)
+            _acc(f, g * rest)
+            _acc(a, g * lam)
 
-        return self._record((x,), out, backward)
+        return self._record((a, f), out, backward)
 
-    def gather(self, table: Tensor, ids: Sequence[int]) -> Tensor:
-        """Select rows of `table`; gradients scatter-add back into those rows only."""
-        if table.data.ndim != 2:
-            raise DimensionError(f"gather expects a 2-d table, got {table.shape}")
+    def lookup(self, table: Tensor, row: Tensor, ids: Sequence[int]) -> Tensor:
+        """table[ids] + row: each id's table row plus one shared 1 x d row.
+        Grads scatter-add back with np.add.at, once per id, duplicates
+        included, so rows no id names get exactly zero."""
+        if table.data.ndim != 2 or row.shape != (1, table.shape[1]):
+            raise DimensionError(
+                f"lookup expects a 2-d table and one row as wide, got {table.shape} and {row.shape}")
         idx = np.asarray(ids, dtype=np.int64)
         if idx.ndim != 1:
-            raise DimensionError(f"gather expects a flat id list, got shape {idx.shape}")
+            raise DimensionError(f"lookup expects a flat id list, got shape {idx.shape}")
         rows = table.shape[0]
         bad = np.flatnonzero((idx < 0) | (idx >= rows))
         if bad.size:
             raise ClassIndexError(
                 f"id {int(idx[bad[0]])} out of range for table with {rows} rows")
-        return self._gather(table, idx)
-
-    def _gather(self, table: Tensor, idx: np.ndarray) -> Tensor:
-        """`gather` for a caller that has already checked `idx` is a flat
-        int64 array of rows inside the 2-d `table`."""
-        out = Tensor(table.data[idx])
+        out = Tensor(table.data[idx] + row.data)
 
         def backward(g: np.ndarray) -> None:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, idx, g)
+            for t, at in ((row, np.zeros(len(idx), dtype=np.int64)), (table, idx)):
+                if t.grad is None:
+                    t.grad = np.zeros_like(t.data)
+                np.add.at(t.grad, at, g)
 
-        return self._record((table,), out, backward)
+        return self._record((table, row), out, backward)
 
     def sum(self, x: Tensor) -> Tensor:
         """Sum of all entries, as a scalar; the usual way to close a test loss."""

@@ -38,12 +38,12 @@ class BatchPair:
 
 def loss_v2l(g: Graph, batch: BatchPair) -> Tensor:
     """Image-to-text contrastive loss (positives on the diagonal)."""
-    return g.diagonal_cross_entropy(g.similarity_matrix(batch.v, batch.u, batch.tau))
+    return g.contrastive(batch.v, batch.u, batch.tau)
 
 
 def loss_l2v(g: Graph, batch: BatchPair) -> Tensor:
     """Text-to-image direction: identical computation with rows swapped."""
-    return g.diagonal_cross_entropy(g.similarity_matrix(batch.u, batch.v, batch.tau))
+    return g.contrastive(batch.u, batch.v, batch.tau)
 
 
 @dataclass(eq=False)

@@ -214,7 +214,7 @@ class FrozenFeatures:
 def _mlp(g: Graph, layers: list[tuple[Tensor, Tensor]], x: Tensor) -> Tensor:
     h = x
     for w, b in layers[:-1]:
-        h = g.relu(g.affine(h, w, b))
+        h = g.affine_relu(h, w, b)
     w, b = layers[-1]
     return g.affine(h, w, b)
 
@@ -246,11 +246,9 @@ def text_features(g: Graph, params, class_ids) -> Tensor:
         raise ClassIndexError(f"class id {int(bad[0])} outside [0, {k_max})")
     if isinstance(params, FrozenFeatures):
         return Tensor(params.text[ids])
-    # the ids are checked above, so the gathers skip gather's own checks
-    cls_rows = g._gather(params.tensors["text/class_embedding"], ids)
-    tmpl_rows = g._gather(params.tensors["text/template_embedding"],
-                          np.zeros(len(ids), dtype=np.int64))
-    h = _mlp(g, params.layers("text"), g.add(cls_rows, tmpl_rows))
+    rows = g.lookup(params.tensors["text/class_embedding"],
+                    params.tensors["text/template_embedding"], ids)
+    h = _mlp(g, params.layers("text"), rows)
     return g.affine(h, params.tensors["proj/text"])
 
 

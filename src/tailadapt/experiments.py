@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from .adapter import PLACEMENTS
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DegenerateEmbeddingError
 from .evaluation import evaluate
 from .training import RunConfig, build_dataset, run, train_phase_a, train_phase_b
 
@@ -33,7 +33,9 @@ _AXIS_FIELDS = {"sampler": "balance_sampler"}
 
 def sweep_lambda(config: RunConfig, values) -> list[dict]:
     """Two-phase metrics per blend weight, sharing one Phase-A backbone.
-    config.mode plays no part: the sweep always runs Phase A then Phase B."""
+    config.mode plays no part: the sweep always runs Phase A then Phase B.
+    A zero embedding row under some lambda raises DegenerateEmbeddingError
+    naming that lambda."""
     # building every config checks every value before any training
     configs = [replace(config, lam=float(v)) for v in values]
     if not configs:
@@ -42,8 +44,11 @@ def sweep_lambda(config: RunConfig, values) -> list[dict]:
     params, _ = train_phase_a(config, dataset)
     rows = []
     for cfg in configs:
-        adapter, _ = train_phase_b(params, cfg, dataset)
-        metrics = evaluate(params, adapter, dataset, cfg.tau)
+        try:
+            adapter, _ = train_phase_b(params, cfg, dataset)
+            metrics = evaluate(params, adapter, dataset, cfg.tau)
+        except DegenerateEmbeddingError as exc:
+            raise DegenerateEmbeddingError(f"lambda {cfg.lam}: {exc}") from exc
         rows.append({"lambda": cfg.lam, **metrics.summary()})
     return rows
 

@@ -287,6 +287,32 @@ def _steps_per_epoch(n_train: int, batch_size: int) -> int:
     return max(1, math.ceil(n_train / batch_size))
 
 
+def _loss_and_grads(backbone, adapter: AdapterParams | None, x: np.ndarray, classes,
+                    config: RunConfig, params: list[Tensor], where: str) -> float:
+    """One step's forward, divergence check and backward. It returns the
+    loss and leaves the grads on `params`; the step's graph is freed on
+    return, before the caller's next step or evaluate."""
+    g = Graph()
+    x = Tensor(x)
+    if adapter is not None and adapter.adapts_visual:
+        v = adapted_visual(g, backbone, adapter, x)
+    else:
+        v = encode_visual(g, backbone, x)
+    if adapter is not None and adapter.adapts_language:
+        u = adapted_text(g, backbone, adapter, classes)
+    else:
+        u = encode_text(g, backbone, classes)
+    pair = BatchPair(v, u, config.tau)
+    loss = loss_v2l(g, pair)
+    if config.symmetric_loss:
+        loss = g.add(loss, loss_l2v(g, pair))
+    value = float(loss.data)
+    if not math.isfinite(value) or value > DIVERGENCE_CEILING:
+        raise DivergenceError(f"loss {value} at {where}")
+    g.backward(loss, params=params)
+    return value
+
+
 def _train_epochs(phase: Phase, backbone, adapter: AdapterParams | None,
                   dataset: LongTailedDataset, config: RunConfig, log: list | None,
                   eval_dataset: LongTailedDataset | None = None) -> None:
@@ -320,25 +346,9 @@ def _train_epochs(phase: Phase, backbone, adapter: AdapterParams | None,
         for s in range(steps):
             sampler.set_progress(done / total_steps)
             classes, rows = draw_batch(sampler, dataset, config.batch_size)
-            g = Graph()
-            x = Tensor(dataset.features[rows])
-            if adapter is not None and adapter.adapts_visual:
-                v = adapted_visual(g, backbone, adapter, x)
-            else:
-                v = encode_visual(g, backbone, x)
-            if adapter is not None and adapter.adapts_language:
-                u = adapted_text(g, backbone, adapter, classes)
-            else:
-                u = encode_text(g, backbone, classes)
-            pair = BatchPair(v, u, config.tau)
-            loss = loss_v2l(g, pair)
-            if config.symmetric_loss:
-                loss = g.add(loss, loss_l2v(g, pair))
-            value = float(loss.data)
-            if not math.isfinite(value) or value > DIVERGENCE_CEILING:
-                raise DivergenceError(
-                    f"loss {value} at {phase.label} step {done} (epoch {epoch + 1})")
-            g.backward(loss, params=trainable_tensors)
+            value = _loss_and_grads(backbone, adapter, dataset.features[rows], classes,
+                                    config, trainable_tensors,
+                                    f"{phase.label} step {done} (epoch {epoch + 1})")
             for (group, _), lr in zip(groups, lrs):
                 sgd_momentum_step(group, {n: t.grad for n, t in group}, opt,
                                   lr, config.momentum)

@@ -107,6 +107,23 @@ def test_gen_data_overflow_stderr_starts_with_error_in_a_fresh_process(tmp_path)
     assert not out.exists()
 
 
+def test_sweep_lambda_error_names_the_lambda_in_a_fresh_process(tmp_path):
+    """At lambda = 1.0 on seed 7 a test row's adapted embedding is all zero;
+    the error line says which lambda of the sweep it was."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"seed": 7}))
+    src = str(Path(tailadapt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tailadapt.cli", "sweep-lambda", "--config", str(cfg),
+         "--values", "0.2,1.0"],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: lambda 1.0: row "), proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
 def test_train_eval_flow(tmp_path, capsys):
     data = _gen(tmp_path, capsys)
     cfg_path, cfg = _config_file(tmp_path, data)

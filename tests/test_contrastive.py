@@ -96,6 +96,40 @@ def test_loss_invariant_under_joint_permutation():
     assert a == pytest.approx(b, abs=1e-12)
 
 
+def count_adjusted_loss(rows, table, labels, tau):
+    """Mean over rows i of log m_c + the cross-entropy of class c = labels[i]
+    against logits (rows_i . table_k) / tau + log m_k over the classes k
+    present, m_k being how many batch rows have class k."""
+    present, counts = np.unique(labels, return_counts=True)
+    total = 0.0
+    for i, c in enumerate(labels):
+        logits = [float(np.dot(rows[i], table[k])) / tau + math.log(m)
+                  for k, m in zip(present, counts)]
+        top = max(logits)
+        log_z = top + math.log(sum(math.exp(z - top) for z in logits))
+        m_c = int(counts[np.searchsorted(present, c)])
+        total += math.log(m_c) + log_z - logits[np.searchsorted(present, c)]
+    return total / len(labels)
+
+
+def test_in_batch_loss_is_a_count_adjusted_softmax():
+    # duplicate labels give duplicate rows on one side, and the in-batch loss
+    # is then log m_c plus cross-entropy with logits shifted by log m_k:
+    # under instance sampling m_k tracks the class prior
+    rng = np.random.default_rng(7)
+    labels = np.array([0, 2, 2, 5, 0, 2, 3, 5, 2, 0, 1, 2])
+    for tau in (0.07, 0.5, 1.0):
+        table = unit_rows(rng, 6, 8)  # one row per class
+        other = unit_rows(rng, len(labels), 8)
+        batch = BatchPair(Tensor(other), Tensor(table[labels]), tau)
+        assert float(loss_v2l(Graph(), batch).data) == pytest.approx(
+            count_adjusted_loss(other, table, labels, tau), rel=1e-12, abs=1e-12)
+        # the other direction, with the duplicate rows on the image side
+        batch = BatchPair(Tensor(table[labels]), Tensor(other), tau)
+        assert float(loss_l2v(Graph(), batch).data) == pytest.approx(
+            count_adjusted_loss(other, table, labels, tau), rel=1e-12, abs=1e-12)
+
+
 def test_batch_pair_validation():
     v = Tensor(np.eye(2))
     with pytest.raises(InvalidTemperatureError):

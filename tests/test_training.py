@@ -2,6 +2,7 @@
 
 import json
 import math
+import weakref
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -175,6 +176,33 @@ def test_phase_b_features_equal_each_batch_forward(monkeypatch, seed, overrides)
         assert text[classes].tobytes() == text_features(Graph(), frozen, classes).data.tobytes()
     test_rows = visual_features(Graph(), frozen, Tensor(ds.test_features)).data
     assert projected.test_features.tobytes() == test_rows.tobytes()
+
+
+def test_no_step_graph_is_alive_at_an_epoch_evaluate(monkeypatch):
+    # a step's tape, with its activations and grads, is freed when the step
+    # ends, so no evaluate runs beside the last step's graph
+    graphs, alive_at_evaluate = [], []
+
+    class TrackedGraph(Graph):
+        def __init__(self):
+            super().__init__()
+            graphs.append(weakref.ref(self))
+
+    real_evaluate = training.evaluate
+
+    def checked_evaluate(*args, **kwargs):
+        alive_at_evaluate.append(sum(ref() is not None for ref in graphs))
+        return real_evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(training, "Graph", TrackedGraph)
+    monkeypatch.setattr(training, "evaluate", checked_evaluate)
+    cfg = small_config(epochs_a=2, epochs_b=2, warm_start=True, warm_start_epochs=1,
+                       placement="both", symmetric_loss=True)
+    run(cfg)
+    steps = math.ceil(build_dataset(cfg).n_train / cfg.batch_size)
+    assert len(graphs) > 4 * steps
+    # one evaluate per epoch of the warm start and both phases, then the run's
+    assert alive_at_evaluate == [0] * (1 + 2 + 2 + 1)
 
 
 def test_phase_functions_ignore_mode():

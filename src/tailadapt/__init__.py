@@ -43,7 +43,6 @@ from .encoders import (
 from .evaluation import Metrics, evaluate, metrics_from_predictions, predict_test_split
 from .experiments import ablation_grid, format_table, sweep_lambda
 from .training import (
-    OptimizerState,
     RunConfig,
     RunResult,
     cosine_lr,

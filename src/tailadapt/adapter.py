@@ -64,7 +64,7 @@ class AdapterParams:
     @classmethod
     def init(cls, dim: int, lam: float, placement: str,
              seed: int | np.random.Generator) -> "AdapterParams":
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
         return cls(lam, placement, {name: Tensor(init_array(rng, shape, dim))
                                     for name, shape in cls.layout(dim, placement).items()})
 

@@ -49,6 +49,17 @@ def check_temperature(tau: float) -> None:
         raise InvalidTemperatureError(f"temperature must be finite and > 0, got {tau}")
 
 
+def check_ids(ids, n: int) -> np.ndarray:
+    """The one class-id guard: ids as a flat int64 array, each in [0, n)."""
+    idx = np.asarray(ids, dtype=np.int64)
+    if idx.ndim != 1:
+        raise DimensionError(f"expected a flat list of class ids, got shape {idx.shape}")
+    bad = idx[(idx < 0) | (idx >= n)]
+    if bad.size:
+        raise ClassIndexError(f"class id {int(bad[0])} outside [0, {n})")
+    return idx
+
+
 class Tensor:
     """Dense float64 array plus an optional gradient buffer of equal shape.
 
@@ -241,20 +252,13 @@ class Graph:
         return self._record((a, f), out, backward)
 
     def lookup(self, table: Tensor, row: Tensor, ids: Sequence[int]) -> Tensor:
-        """table[ids] + row: each id's table row plus one shared 1 x d row.
-        Grads scatter-add back with np.add.at, once per id, duplicates
-        included, so rows no id names get exactly zero."""
+        """table[ids] + row: each id's table row plus one shared 1 x d row,
+        ids checked by check_ids. Grads scatter-add back with np.add.at, once
+        per id, duplicates included, so rows no id names get exactly zero."""
         if table.data.ndim != 2 or row.shape != (1, table.shape[1]):
             raise DimensionError(
                 f"lookup expects a 2-d table and one row as wide, got {table.shape} and {row.shape}")
-        idx = np.asarray(ids, dtype=np.int64)
-        if idx.ndim != 1:
-            raise DimensionError(f"lookup expects a flat id list, got shape {idx.shape}")
-        rows = table.shape[0]
-        bad = np.flatnonzero((idx < 0) | (idx >= rows))
-        if bad.size:
-            raise ClassIndexError(
-                f"id {int(idx[bad[0]])} out of range for table with {rows} rows")
+        idx = check_ids(ids, table.shape[0])
         out = Tensor(table.data[idx] + row.data)
 
         def backward(g: np.ndarray) -> None:

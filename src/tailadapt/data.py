@@ -213,8 +213,8 @@ def sample_clusters(means: np.ndarray, counts: np.ndarray, test_per_class: int,
 @dataclass(frozen=True)
 class DatasetSpec:
     """Where the training data comes from: synthesized or read from a file.
-    Building one checks the values its kind uses; `kind: file` uses only
-    the path."""
+    Building one checks the values its kind uses; `kind: file` uses the
+    path, and sigma for a warm start's pool."""
 
     kind: str = "exponential"
     num_classes: int = 20
@@ -230,6 +230,8 @@ class DatasetSpec:
         if self.kind not in DATASET_KINDS:
             raise ConfigurationError(
                 f"dataset kind must be one of {DATASET_KINDS}, got {self.kind!r}")
+        if not 0.0 <= self.sigma < np.inf:
+            raise ConfigurationError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.kind == "file":
             if not self.path:
                 raise ConfigurationError("dataset kind 'file' needs a path")
@@ -238,8 +240,6 @@ class DatasetSpec:
             check_exponential(self.num_classes, self.n_max, self.rho)
         else:
             check_pareto(self.num_classes, self.n_max, self.alpha)
-        if not 0.0 <= self.sigma < np.inf:
-            raise ConfigurationError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.test_per_class < 1:
             raise ConfigurationError(
                 f"test_per_class must be >= 1, got {self.test_per_class}")

@@ -19,9 +19,9 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .autodiff import Forward, Graph, Tensor
+from .autodiff import Forward, Graph, Tensor, check_ids
 from .checkpoint import digest_arrays
-from .errors import ClassIndexError, ConfigurationError, DimensionError
+from .errors import ConfigurationError, DimensionError
 
 # rng stream tags so each consumer of the run seed draws independently
 SEED_DATA = 0
@@ -139,7 +139,7 @@ class ModelParams:
         is a weight's row count and an embedding's width."""
         if config.input_dim is None or config.num_classes is None:
             raise ConfigurationError("model config missing input_dim/num_classes")
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
         layout = config.layout()
         drawn = {}
         for name in sorted(layout, key=_draw_rank):
@@ -235,19 +235,13 @@ def text_features(g: Graph, params, class_ids) -> Tensor:
     """Projected text embedding before normalization, looked up over
     FrozenFeatures.
 
-    class_ids may contain duplicates; each id yields its own row.
+    class_ids may contain duplicates; each id yields its own row. They are
+    checked once, by check_ids here or in lookup.
     """
-    ids = np.asarray(class_ids, dtype=np.int64)
-    if ids.ndim != 1:
-        raise DimensionError(f"expected a flat list of class ids, got shape {ids.shape}")
-    k_max = params.config.num_classes
-    bad = ids[(ids < 0) | (ids >= k_max)]
-    if bad.size:
-        raise ClassIndexError(f"class id {int(bad[0])} outside [0, {k_max})")
     if isinstance(params, FrozenFeatures):
-        return Tensor(params.text[ids])
+        return Tensor(params.text[check_ids(class_ids, params.config.num_classes)])
     rows = g.lookup(params.tensors["text/class_embedding"],
-                    params.tensors["text/template_embedding"], ids)
+                    params.tensors["text/template_embedding"], class_ids)
     h = _mlp(g, params.layers("text"), rows)
     return g.affine(h, params.tensors["proj/text"])
 

@@ -209,20 +209,10 @@ def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * step / total_steps))
 
 
-@dataclass
-class OptimizerState:
-    """Heavy-ball velocity per parameter name."""
-
-    velocity: dict[str, np.ndarray] = field(default_factory=dict)
-
-    @classmethod
-    def for_params(cls, named_params) -> "OptimizerState":
-        return cls({name: np.zeros_like(t.data) for name, t in named_params})
-
-
-def sgd_momentum_step(named_params, grads: dict[str, np.ndarray],
-                      state: OptimizerState, lr: float, momentum: float) -> None:
-    """v <- momentum * v + g; theta <- theta - lr * v, all in place.
+def sgd_momentum_step(named_params, velocity: dict[str, np.ndarray],
+                      lr: float, momentum: float) -> None:
+    """v <- momentum * v + g; theta <- theta - lr * v, all in place, where g
+    is each tensor's .grad as backward left it and v its entry in `velocity`.
 
     Refuses to touch frozen (read-only) tensors. An empty parameter list is
     a no-op.
@@ -230,11 +220,11 @@ def sgd_momentum_step(named_params, grads: dict[str, np.ndarray],
     for name, t in named_params:
         if not t.data.flags.writeable:
             raise FrozenParameterError(f"cannot update frozen parameter {name!r}")
-        g = grads[name]
-        if g.shape != t.data.shape:
-            raise DimensionError(
-                f"gradient shape {g.shape} vs parameter {name!r} shape {t.data.shape}")
-        v = state.velocity[name]
+        g = t.grad
+        if g is None or g.shape != t.data.shape:
+            raise DimensionError(f"gradient shape {None if g is None else g.shape} "
+                                 f"vs parameter {name!r} shape {t.data.shape}")
+        v = velocity[name]
         v *= momentum
         v += g
         t.data -= lr * v
@@ -336,7 +326,7 @@ def _train_epochs(phase: Phase, backbone, adapter: AdapterParams | None,
     steps = _steps_per_epoch(dataset.n_train, config.batch_size)
     total_steps = phase.epochs * steps
     all_named = [pair for group, _ in groups for pair in group]
-    opt = OptimizerState.for_params(all_named)
+    velocity = {name: np.zeros_like(t.data) for name, t in all_named}
     trainable_tensors = [t for _, t in all_named]
     done = 0
 
@@ -350,8 +340,7 @@ def _train_epochs(phase: Phase, backbone, adapter: AdapterParams | None,
                                     config, trainable_tensors,
                                     f"{phase.label} step {done} (epoch {epoch + 1})")
             for (group, _), lr in zip(groups, lrs):
-                sgd_momentum_step(group, {n: t.grad for n, t in group}, opt,
-                                  lr, config.momentum)
+                sgd_momentum_step(group, velocity, lr, config.momentum)
             losses[s] = value
             done += 1
         if log is not None:

@@ -49,6 +49,20 @@ def test_digest_variants_reach_the_sampler_fallbacks():
         c.dataset.num_classes, c.dataset.n_max, c.dataset.rho) for c in configs)
 
 
+def test_a_digest_variant_warm_starts_on_a_file_dataset(tmp_path):
+    from tailadapt.cli import main
+    from tailadapt.training import RunConfig, build_dataset
+
+    bench_pairs = _bench_pairs()
+    assert main(["gen-data", *bench_pairs.GEN_DATA["exp"], "--seed", "0",
+                 "--out", str(tmp_path / bench_pairs.FILE_DATA)]) == 0
+    overrides = bench_pairs.in_dir(bench_pairs.VARIANTS["file+warm_start"], str(tmp_path))
+    config = RunConfig.from_dict({**overrides, "seed": 0})
+    assert config.dataset.kind == "file" and config.warm_start
+    # no class means in a file: the warm start draws around the empirical ones
+    assert build_dataset(config).class_means is None
+
+
 def test_the_several_buffer_file_ends_in_a_partial_buffer(tmp_path):
     from tailadapt import data
     from tailadapt.cli import main

@@ -235,6 +235,21 @@ def test_train_rejects_negative_seed_override(tmp_path, capsys):
     assert not (tmp_path / "model.ltck").exists()
 
 
+@pytest.mark.parametrize("sigma", ["-1.0", "1e400"], ids=["negative", "overflow"])
+def test_train_rejects_a_bad_sigma_on_a_file_dataset(tmp_path, capsys, sigma):
+    # a warm start on a file dataset draws its pool with dataset.sigma
+    data = _gen(tmp_path, capsys)
+    cfg_path, _ = _config_file(tmp_path, data, warm_start=True)
+    cfg_path.write_text(cfg_path.read_text().replace(
+        '"kind": "file"', f'"kind": "file", "sigma": {sigma}'))
+    rc = main(["train", "--config", str(cfg_path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: sigma must be finite and >= 0"), captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "model.ltck").exists()
+
+
 def test_missing_files_fail_nonzero(tmp_path, capsys):
     rc = main(["train", "--config", str(tmp_path / "absent.json")])
     assert rc == 1

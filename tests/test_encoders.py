@@ -211,6 +211,42 @@ def test_frozen_features_serve_rows_without_a_tape():
         text_features(g, features, [20])
 
 
+def _raised(call) -> tuple[type, str]:
+    with pytest.raises((ClassIndexError, DimensionError)) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("ids", [[20], [-1], [[0, 1]]], ids=["K", "negative", "nested"])
+def test_every_class_id_path_raises_one_error(ids):
+    params = random_params(seed=3)
+    features = FrozenFeatures(freeze(params), (np.zeros((1, 16)),))
+    table, row = params.tensors["text/class_embedding"], params.tensors["text/template_embedding"]
+    raised = {_raised(lambda: Graph().lookup(table, row, ids)),
+              _raised(lambda: text_features(Graph(), params, ids)),
+              _raised(lambda: text_features(Graph(), features, ids))}
+    assert len(raised) == 1, raised
+
+
+def test_each_text_path_checks_its_ids_once(monkeypatch):
+    from tailadapt import autodiff, encoders
+
+    calls, check = [], autodiff.check_ids
+
+    def counted(ids, n):
+        calls.append(n)
+        return check(ids, n)
+
+    monkeypatch.setattr(autodiff, "check_ids", counted)
+    monkeypatch.setattr(encoders, "check_ids", counted)
+    params = random_params(seed=3)
+    features = FrozenFeatures(freeze(params), (np.zeros((1, 16)),))
+    for backbone in (params, features):
+        calls.clear()
+        text_features(Graph(), backbone, [0, 5, 5])
+        assert calls == [20]
+
+
 def test_digest_ignores_adapter_prefix_only_in_backbone_digest():
     from tailadapt.checkpoint import backbone_digest
     params = random_params(seed=11)

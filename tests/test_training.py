@@ -17,6 +17,7 @@ from tailadapt.encoders import FrozenFeatures, ModelConfig, freeze, text_feature
 from tailadapt.errors import (
     CheckpointFormatError,
     ConfigurationError,
+    DimensionError,
     DivergenceError,
     FreezeViolationError,
     FrozenParameterError,
@@ -24,7 +25,6 @@ from tailadapt.errors import (
 from tailadapt.evaluation import predict_test_split
 from tailadapt.training import (
     DatasetSpec,
-    OptimizerState,
     RunConfig,
     build_dataset,
     cosine_lr,
@@ -64,10 +64,11 @@ def test_momentum_two_step_displacement():
     t = Tensor(np.array([1.0, -2.0]))
     named = [("w", t)]
     g = np.array([0.5, 1.0])
-    state = OptimizerState.for_params(named)
-    sgd_momentum_step(named, {"w": g}, state, lr=0.1, momentum=0.9)
+    t.grad = g
+    velocity = {"w": np.zeros(2)}
+    sgd_momentum_step(named, velocity, lr=0.1, momentum=0.9)
     np.testing.assert_array_equal(t.data, np.array([1.0, -2.0]) - 0.1 * g)
-    sgd_momentum_step(named, {"w": g}, state, lr=0.1, momentum=0.9)
+    sgd_momentum_step(named, velocity, lr=0.1, momentum=0.9)
     expected = np.array([1.0, -2.0]) - 0.1 * g - 0.1 * 1.9 * g
     np.testing.assert_allclose(t.data, expected, rtol=0, atol=1e-15)
 
@@ -75,18 +76,31 @@ def test_momentum_two_step_displacement():
 def test_momentum_zero_is_plain_sgd():
     t = Tensor(np.zeros(3))
     named = [("w", t)]
-    state = OptimizerState.for_params(named)
+    t.grad = np.ones(3)
+    velocity = {"w": np.zeros(3)}
     for _ in range(3):
-        sgd_momentum_step(named, {"w": np.ones(3)}, state, lr=0.2, momentum=0.0)
+        sgd_momentum_step(named, velocity, lr=0.2, momentum=0.0)
     np.testing.assert_allclose(t.data, -0.6 * np.ones(3), atol=1e-15)
 
 
 def test_optimizer_refuses_frozen_tensors():
     t = Tensor(np.ones(2))
     t.data.flags.writeable = False
-    state = OptimizerState.for_params([("w", t)])
+    t.grad = np.ones(2)
     with pytest.raises(FrozenParameterError):
-        sgd_momentum_step([("w", t)], {"w": np.ones(2)}, state, 0.1, 0.0)
+        sgd_momentum_step([("w", t)], {"w": np.zeros(2)}, 0.1, 0.0)
+    t.grad = None  # the frozen check comes before the grad check
+    with pytest.raises(FrozenParameterError):
+        sgd_momentum_step([("w", t)], {"w": np.zeros(2)}, 0.1, 0.0)
+
+
+def test_optimizer_rejects_a_missing_or_misshaped_grad():
+    t = Tensor(np.ones(2))
+    for grad, shape in ((None, "None"), (np.ones(3), r"\(3,\)"), (np.ones((1, 2)), r"\(1, 2\)")):
+        t.grad = grad
+        with pytest.raises(DimensionError, match=f"gradient shape {shape} vs parameter 'w'"):
+            sgd_momentum_step([("w", t)], {"w": np.zeros(2)}, 0.1, 0.9)
+        np.testing.assert_array_equal(t.data, np.ones(2))
 
 
 # ---- phases -------------------------------------------------------------
@@ -460,10 +474,11 @@ def test_frozen_view_blocks_direct_updates():
     params, _ = train_phase_a(cfg, build_dataset(cfg))
     frozen = freeze(params)
     named = frozen.named_parameters()
-    state = OptimizerState.for_params(named)
-    grads = {n: np.zeros_like(t.data) for n, t in named}
+    for _, t in named:
+        t.grad = np.zeros_like(t.data)
+    velocity = {n: np.zeros_like(t.data) for n, t in named}
     with pytest.raises(FrozenParameterError):
-        sgd_momentum_step(named, grads, state, 0.1, 0.0)
+        sgd_momentum_step(named, velocity, 0.1, 0.0)
 
 
 # ---- config parsing -------------------------------------------------------
@@ -539,6 +554,13 @@ def test_dataset_values_are_checked_when_built(field, value):
 def test_file_dataset_ignores_synthesis_values():
     spec = DatasetSpec(kind="file", path="d.ltds", num_classes=1, rho=0.5, feature_dim=0)
     assert spec.num_classes == 1
+
+
+@pytest.mark.parametrize("sigma", [-1.0, math.inf, math.nan])
+def test_file_dataset_checks_sigma(sigma):
+    # a warm start on a file dataset draws its pool with this sigma
+    with pytest.raises(ConfigurationError, match="sigma"):
+        DatasetSpec(kind="file", path="d.ltds", sigma=sigma)
 
 
 def test_file_dataset_is_not_synthesized():

@@ -47,7 +47,11 @@ SIDES = ("parent", "change")
 # class one row, which the sampler draws pick by pick. Phase B trains on
 # features projected one split at a time, so its batches match only while
 # BLAS gives a row the same bits at every row count; the wider variant checks
-# that at other matmul block shapes.
+# that at other matmul block shapes. The file variant trains on the seed's
+# GEN_DATA "exp" file, written as FILE_DATA in the run directory: a file holds
+# no class means, so its warm start draws the pool around the empirical means
+# with dataset.sigma.
+FILE_DATA = "file_variant.ltds"
 MODES = ("two_phase", "phase_a_only", "joint", "zero_shot_baseline")
 VARIANTS = {
     "default": {},
@@ -59,6 +63,7 @@ VARIANTS = {
     "wide128+both+batch256": {"placement": "both", "batch_size": 256, "epochs_a": 8,
                               "epochs_b": 2, "model": {"hidden": [128, 128], "visual_dim": 64,
                                                        "text_dim": 64, "shared_dim": 32}},
+    "file+warm_start": {"dataset": {"kind": "file", "path": FILE_DATA}, "warm_start": True},
 }
 SWEEP_LAMBDAS = (0.0, 0.2, 0.5, 0.9)
 SWEEP_MODES = ("two_phase", "joint")
@@ -66,6 +71,14 @@ ABLATION_AXES = ["placement", "sampler"]
 GEN_DATA = {"exp": ["--kind", "exp"], "pareto": ["--kind", "pareto"],
             "exp several_buffers": ["--kind", "exp", "--classes", "50", "--n-max", "1000",
                                     "--dim", "64"]}
+
+
+def in_dir(overrides: dict, directory: str) -> dict:
+    """overrides with a file dataset's path taken relative to directory."""
+    dataset = overrides.get("dataset", {})
+    if dataset.get("kind") != "file":
+        return overrides
+    return {**overrides, "dataset": {**dataset, "path": os.path.join(directory, dataset["path"])}}
 
 
 def seed_list(text: str) -> list[int]:
@@ -238,12 +251,15 @@ def cmd_matrix(args) -> None:
         rows = ablation_grid(config, ABLATION_AXES)
         return {f"cell={i}": json.dumps(row).encode() for i, row in enumerate(rows)}
 
-    def gen_data(argv: list[str], seed: int) -> dict:
-        out = os.path.join(args.tmp, "data.ltds")
+    def write_data(argv: list[str], seed: int, out: str) -> None:
         with redirect_stdout(sys.stderr):  # keep stdout to the digest lines
             code = cli_main(["gen-data", *argv, "--seed", str(seed), "--out", out])
         if code != 0:
             raise RuntimeError(f"gen-data exited {code}")
+
+    def gen_data(argv: list[str], seed: int) -> dict:
+        out = os.path.join(args.tmp, "data.ltds")
+        write_data(argv, seed, out)
         back = read_dataset(out)
         return {"file": Path(out).read_bytes(), "read features": back.features.tobytes(),
                 "read labels": back.labels.tobytes(),
@@ -251,9 +267,11 @@ def cmd_matrix(args) -> None:
 
     print(json.dumps({"source": tailadapt.__file__}), flush=True)
     for seed in seed_list(args.seeds):
+        write_data(GEN_DATA["exp"], seed, os.path.join(args.tmp, FILE_DATA))
         for variant, overrides in VARIANTS.items():
             for mode in MODES:
-                config = RunConfig.from_dict({**overrides, "seed": seed, "mode": mode})
+                config = RunConfig.from_dict({**in_dir(overrides, args.tmp), "seed": seed,
+                                              "mode": mode})
                 reload = variant == "default"
                 print(json.dumps(digest_or_error(f"seed={seed} {variant} {mode}",
                                                  lambda: artifacts(config, reload))), flush=True)

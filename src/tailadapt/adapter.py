@@ -19,7 +19,7 @@ import numpy as np
 from .autodiff import Graph, Tensor
 from .checkpoint import ADAPTER_PREFIX
 from .encoders import init_array, text_features, visual_features
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_choice
 
 PLACEMENTS = ("visual", "language", "both")
 
@@ -40,17 +40,7 @@ class AdapterParams:
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigurationError(f"lambda must be in [0, 1], got {self.lam}")
-        if self.placement not in PLACEMENTS:
-            raise ConfigurationError(
-                f"placement must be one of {PLACEMENTS}, got {self.placement!r}")
-
-    @property
-    def adapts_visual(self) -> bool:
-        return self.placement in ("visual", "both")
-
-    @property
-    def adapts_language(self) -> bool:
-        return self.placement in ("language", "both")
+        check_choice("placement", self.placement, PLACEMENTS)
 
     @staticmethod
     def layout(dim: int, placement: str) -> dict[str, tuple[int, ...]]:
@@ -70,13 +60,18 @@ class AdapterParams:
 
     def branch(self, name: str) -> tuple[Tensor, Tensor]:
         """(weight, bias) of the "visual" or "language" adapter."""
-        if name not in _branches(self.placement):
+        if not covers(self, name):
             raise ConfigurationError(f"placement {self.placement!r} has no {name} adapter")
         return (self.tensors[f"{ADAPTER_PREFIX}{name}/weight"],
                 self.tensors[f"{ADAPTER_PREFIX}{name}/bias"])
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return list(self.tensors.items())
+
+
+def covers(adapter: AdapterParams | None, branch: str) -> bool:
+    """Whether adapter maps the "visual" or "language" branch; None maps neither."""
+    return adapter is not None and branch in _branches(adapter.placement)
 
 
 def adapt(g: Graph, f: Tensor, weight: Tensor, bias: Tensor, lam: float) -> Tensor:

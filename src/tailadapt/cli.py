@@ -71,7 +71,7 @@ def cmd_eval(args) -> int:
                     f"only --lambda 0 is meaningful")
         else:
             adapter = replace(adapter, lam=args.lam)
-    metrics = evaluate(params, adapter, dataset, args.tau)
+    metrics = evaluate(params, adapter, dataset)
     print(to_json(metrics.to_record()))
     return 0
 
@@ -123,7 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--data", required=True)
     e.add_argument("--lambda", dest="lam", type=float,
                    help="override the adapter blend weight")
-    e.add_argument("--tau", type=float, default=1.0)
     e.set_defaults(func=cmd_eval)
 
     s = sub.add_parser("sweep-lambda", help="two-phase metrics per blend weight")

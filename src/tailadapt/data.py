@@ -34,6 +34,9 @@ from .errors import (
     DatasetFormatError,
     InvalidPowerError,
     InvalidRatioError,
+    check_allocatable,
+    check_at_least,
+    check_choice,
 )
 
 MAGIC = b"LTDS"
@@ -50,10 +53,11 @@ DATASET_KINDS = ("exponential", "pareto", "file")
 
 
 def _check_profile(num_classes: int, n_max: int) -> None:
-    if num_classes < 2:
-        raise ConfigurationError(f"num_classes must be >= 2, got {num_classes}")
-    if n_max < 1:
-        raise ConfigurationError(f"n_max must be >= 1, got {n_max}")
+    check_at_least("num_classes", num_classes, 2)
+    check_at_least("n_max", n_max, 1)
+    # the counts are an array of num_classes int64 values, each at most n_max
+    check_allocatable("num_classes", num_classes)
+    check_allocatable("n_max", n_max)
 
 
 def check_exponential(num_classes: int, n_max: int, rho: float) -> None:
@@ -100,7 +104,8 @@ def shot_split(class_counts) -> list[str]:
 class LongTailedDataset:
     """Feature rows with a long-tailed train split and a balanced test split.
 
-    Rows are laid out train-first, each split grouped by class in id order.
+    Rows are laid out train-first; within a split they may come in any class
+    order (synthesis groups them by class id, a file need not).
     class_means/noise_sigma carry synthesis metadata for warm-start pools;
     they are not part of the file format and are None for ingested data.
     """
@@ -200,6 +205,7 @@ def sample_clusters(means: np.ndarray, counts: np.ndarray, test_per_class: int,
     then test_per_class fresh test rows per class, drawn in that order."""
     k, dim = means.shape
     sizes = [int(n) for n in counts] + [test_per_class] * k
+    check_allocatable("dataset features", sum(sizes), dim)
     feats = np.empty((sum(sizes), dim))
     blocks = np.split(feats, np.cumsum(sizes)[:-1])
     with np.errstate(over="ignore", invalid="ignore"):  # LongTailedDataset rejects non-finite rows
@@ -227,9 +233,7 @@ class DatasetSpec:
     path: str | None = None
 
     def __post_init__(self):
-        if self.kind not in DATASET_KINDS:
-            raise ConfigurationError(
-                f"dataset kind must be one of {DATASET_KINDS}, got {self.kind!r}")
+        check_choice("dataset kind", self.kind, DATASET_KINDS)
         if not 0.0 <= self.sigma < np.inf:
             raise ConfigurationError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.kind == "file":
@@ -240,11 +244,9 @@ class DatasetSpec:
             check_exponential(self.num_classes, self.n_max, self.rho)
         else:
             check_pareto(self.num_classes, self.n_max, self.alpha)
-        if self.test_per_class < 1:
-            raise ConfigurationError(
-                f"test_per_class must be >= 1, got {self.test_per_class}")
-        if self.feature_dim < 1:
-            raise ConfigurationError(f"feature_dim must be >= 1, got {self.feature_dim}")
+        check_at_least("test_per_class", self.test_per_class, 1)
+        check_at_least("feature_dim", self.feature_dim, 1)
+        check_allocatable("class means", self.num_classes, self.feature_dim)
 
     def synthesize(self, seed) -> LongTailedDataset:
         """Gaussian clusters around unit-norm means, with the kind's train
@@ -325,9 +327,7 @@ class SamplerState:
                         compare=False)
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ConfigurationError(
-                f"sampler strategy must be one of {STRATEGIES}, got {self.strategy!r}")
+        check_choice("sampler strategy", self.strategy, STRATEGIES)
         bitgen = getattr(self.rng, "bit_generator", None)
         if not isinstance(bitgen, np.random.PCG64):
             raise ConfigurationError(
@@ -396,8 +396,8 @@ def draw_batch(state: SamplerState, dataset: LongTailedDataset,
     (2^32 - n) mod n is redrawn; from the first such pick on, the batch is
     drawn pick by pick.
     """
-    if batch_size < 0:
-        raise ConfigurationError(f"batch_size must be >= 0, got {batch_size}")
+    check_at_least("batch_size", batch_size, 0)
+    check_allocatable("batch_size", batch_size)
     cdf = _class_cdf(state, dataset)
     bitgen = state.rng.bit_generator
     entry = bitgen.state

@@ -21,17 +21,7 @@ import numpy as np
 
 from .autodiff import Forward, Graph, Tensor, check_ids
 from .checkpoint import digest_arrays
-from .errors import ConfigurationError, DimensionError
-
-# rng stream tags so each consumer of the run seed draws independently
-SEED_DATA = 0
-SEED_INIT = 1
-SEED_WARM_POOL = 2
-SEED_WARM_SAMPLER = 3
-SEED_PHASE_A_SAMPLER = 4
-SEED_ADAPTER_INIT = 5
-SEED_PHASE_B_SAMPLER = 6
-SEED_JOINT_SAMPLER = 7
+from .errors import ConfigurationError, DimensionError, check_allocatable, check_at_least
 
 # the ModelConfig widths bound from the dataset at run time; None until then
 BOUND_WIDTHS = ("input_dim", "num_classes")
@@ -58,10 +48,8 @@ class ModelConfig:
         widths = {f.name: getattr(self, f.name) for f in fields(self)}
         widths.update((f"hidden[{i}]", w) for i, w in enumerate(widths.pop("hidden")))
         for name, width in widths.items():
-            if width is None and name in BOUND_WIDTHS:
-                continue
-            if not width >= 1:
-                raise ConfigurationError(f"model width {name} must be >= 1, got {width}")
+            if not (width is None and name in BOUND_WIDTHS):
+                check_at_least(f"model width {name}", width, 1)
 
     def bound(self, input_dim: int, num_classes: int) -> "ModelConfig":
         return replace(self, input_dim=input_dim, num_classes=num_classes)
@@ -120,6 +108,7 @@ def _draw_rank(name: str) -> int:
 
 def init_array(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
     """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) for a weight, zeros for a bias."""
+    check_allocatable("parameter", *shape)
     if len(shape) == 1:
         return np.zeros(shape)
     bound = 1.0 / np.sqrt(fan_in)
@@ -206,6 +195,10 @@ class FrozenFeatures:
             [visual_features(Forward(), frozen, Tensor(x)).data for x in splits])
         self.text = text_features(Forward(), frozen, np.arange(self.config.num_classes)).data
         self.rows.flags.writeable = self.text.flags.writeable = False
+
+    def named_parameters(self) -> list:
+        """No trainable tensors: the features are fixed once computed."""
+        return []
 
 
 # ---- forward paths ---------------------------------------------------------

@@ -2,8 +2,12 @@
 
 Every failure the library raises deliberately derives from TailAdaptError so
 callers (and the CLI) can catch one base class. Some types also inherit the
-matching builtin so generic handlers keep working.
+matching builtin so generic handlers keep working. The check_* functions
+below are the one place each kind of value check is written.
 """
+
+import math
+import sys
 
 
 class TailAdaptError(Exception):
@@ -60,3 +64,24 @@ class CheckpointFormatError(TailAdaptError, ValueError):
 
 class DivergenceError(TailAdaptError, RuntimeError):
     """Training loss became non-finite or unreasonably large."""
+
+
+def check_at_least(name: str, value, least) -> None:
+    """Raise ConfigurationError unless value >= least, which a NaN never is."""
+    if not value >= least:
+        raise ConfigurationError(f"{name} must be >= {least}, got {value}")
+
+
+def check_choice(name: str, value, choices: tuple) -> None:
+    """Raise ConfigurationError unless value is one of choices."""
+    if value not in choices:
+        raise ConfigurationError(f"{name} must be one of {choices}, got {value!r}")
+
+
+def check_allocatable(name: str, *shape: int) -> None:
+    """Raise ConfigurationError unless numpy can index an array of this
+    shape at 8 bytes a value; past sys.maxsize bytes it raises ValueError,
+    not MemoryError, even when each size alone would fit."""
+    if math.prod(shape) * 8 > sys.maxsize:
+        raise ConfigurationError(
+            f"{name} {' x '.join(map(str, shape))} is too large to allocate")

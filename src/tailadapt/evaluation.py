@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapter import AdapterParams, adapted_text, adapted_visual
+from .adapter import AdapterParams, adapted_text, adapted_visual, covers
 from .autodiff import Forward, Tensor
 from .contrastive import ClassBank, predict_batch
 from .data import SHOT_FEW, SHOT_MANY, SHOT_MEDIUM, LongTailedDataset, shot_split
@@ -103,7 +103,7 @@ def build_class_bank(params, adapter: AdapterParams | None) -> ClassBank:
     """Text embedding per class, through the adapter when it covers language."""
     class_ids = np.arange(params.config.num_classes)
     g = Forward()
-    if adapter is not None and adapter.adapts_language:
+    if covers(adapter, "language"):
         rows = adapted_text(g, params, adapter, class_ids)
     else:
         rows = encode_text(g, params, class_ids)
@@ -120,7 +120,7 @@ def predict_test_split(params, adapter: AdapterParams | None, dataset: LongTaile
     bank = build_class_bank(params, adapter)
     g = Forward()
     x = Tensor(dataset.test_features)
-    if adapter is not None and adapter.adapts_visual:
+    if covers(adapter, "visual"):
         rows = adapted_visual(g, params, adapter, x)
     else:
         rows = encode_visual(g, params, x)

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field, is_dataclass
 
 import numpy as np
 
-from .adapter import PLACEMENTS, AdapterParams, adapted_text, adapted_visual
+from .adapter import PLACEMENTS, AdapterParams, adapted_text, adapted_visual, covers
 from .autodiff import Graph, Tensor
 from .checkpoint import ADAPTER_PREFIX, read_arrays, replacing, write_arrays
 from .contrastive import BatchPair, loss_l2v, loss_v2l
@@ -36,14 +36,6 @@ from .data import (
 )
 from .encoders import (
     BOUND_WIDTHS,
-    SEED_ADAPTER_INIT,
-    SEED_DATA,
-    SEED_INIT,
-    SEED_JOINT_SAMPLER,
-    SEED_PHASE_A_SAMPLER,
-    SEED_PHASE_B_SAMPLER,
-    SEED_WARM_POOL,
-    SEED_WARM_SAMPLER,
     FrozenFeatures,
     ModelConfig,
     ModelParams,
@@ -58,11 +50,23 @@ from .errors import (
     DivergenceError,
     FreezeViolationError,
     FrozenParameterError,
+    check_at_least,
+    check_choice,
 )
 from .evaluation import Metrics, evaluate, to_json
 
 MODES = ("two_phase", "phase_a_only", "joint", "zero_shot_baseline")
 DIVERGENCE_CEILING = 1e6
+
+# rng stream tags so each consumer of the run seed draws independently
+SEED_DATA = 0
+SEED_INIT = 1
+SEED_WARM_POOL = 2
+SEED_WARM_SAMPLER = 3
+SEED_PHASE_A_SAMPLER = 4
+SEED_ADAPTER_INIT = 5
+SEED_PHASE_B_SAMPLER = 6
+SEED_JOINT_SAMPLER = 7
 
 
 # ---- configuration ----------------------------------------------------------
@@ -98,29 +102,18 @@ class RunConfig:
     metrics_path: str = "metrics.json"
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigurationError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.placement not in PLACEMENTS:
-            raise ConfigurationError(
-                f"placement must be one of {PLACEMENTS}, got {self.placement!r}")
-        if self.balance_sampler not in STRATEGIES:
-            raise ConfigurationError(
-                f"balance_sampler must be one of {STRATEGIES}, got {self.balance_sampler!r}")
-        if self.epochs_a < 0 or self.epochs_b < 0 or self.warm_start_epochs < 0:
-            raise ConfigurationError("epoch counts must be >= 0")
-        if self.warm_start_per_class < 1:
-            raise ConfigurationError(
-                f"warm_start_per_class must be >= 1, got {self.warm_start_per_class}")
-        if self.batch_size < 1:
-            raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        check_choice("mode", self.mode, MODES)
+        check_choice("placement", self.placement, PLACEMENTS)
+        check_choice("balance_sampler", self.balance_sampler, STRATEGIES)
+        for name, least in (("epochs_a", 0), ("epochs_b", 0), ("warm_start_epochs", 0),
+                            ("warm_start_per_class", 1), ("batch_size", 1), ("seed", 0)):
+            check_at_least(name, getattr(self, name), least)
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigurationError(f"lambda must be in [0, 1], got {self.lam}")
         if not 0.0 < self.tau < math.inf:
             raise ConfigurationError(f"tau must be finite and > 0, got {self.tau}")
-        if not (self.lr_backbone >= 0 and self.lr_adapter >= 0):
-            raise ConfigurationError("learning rates must be >= 0")
+        check_at_least("lr_backbone", self.lr_backbone, 0)
+        check_at_least("lr_adapter", self.lr_adapter, 0)
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigurationError(f"momentum must be in [0, 1), got {self.momentum}")
 
@@ -284,11 +277,11 @@ def _loss_and_grads(backbone, adapter: AdapterParams | None, x: np.ndarray, clas
     return, before the caller's next step or evaluate."""
     g = Graph()
     x = Tensor(x)
-    if adapter is not None and adapter.adapts_visual:
+    if covers(adapter, "visual"):
         v = adapted_visual(g, backbone, adapter, x)
     else:
         v = encode_visual(g, backbone, x)
-    if adapter is not None and adapter.adapts_language:
+    if covers(adapter, "language"):
         u = adapted_text(g, backbone, adapter, classes)
     else:
         u = encode_text(g, backbone, classes)
@@ -316,11 +309,10 @@ def _train_epochs(phase: Phase, backbone, adapter: AdapterParams | None,
     """
     if phase.epochs == 0:
         return
-    groups = []
-    if not isinstance(backbone, FrozenFeatures):
-        groups.append((backbone.named_parameters(), config.lr_backbone))
-    if adapter is not None:
-        groups.append((adapter.named_parameters(), config.lr_adapter))
+    # one group per model that reports parameters; a FrozenFeatures reports none
+    models = ((backbone, config.lr_backbone), (adapter, config.lr_adapter))
+    groups = [(model.named_parameters(), lr) for model, lr in models if model is not None]
+    groups = [group for group in groups if group[0]]
     eval_on = dataset if eval_dataset is None else eval_dataset
     sampler = SamplerState.create(phase.strategy, [config.seed, phase.seed_tag])
     steps = _steps_per_epoch(dataset.n_train, config.batch_size)

@@ -4,7 +4,7 @@ and gradient flow when the backbone is frozen."""
 import numpy as np
 import pytest
 
-from tailadapt.adapter import AdapterParams, adapt, adapted_text, adapted_visual
+from tailadapt.adapter import AdapterParams, adapt, adapted_text, adapted_visual, covers
 from tailadapt.autodiff import Graph, Tensor
 from tailadapt.encoders import ModelConfig, ModelParams, encode_visual, freeze
 from tailadapt.errors import ConfigurationError
@@ -114,6 +114,14 @@ def test_parameter_counts_per_placement():
     # independent adapters per branch
     both = AdapterParams.init(d, 0.2, "both", 0)
     assert not np.array_equal(both.branch("visual")[0].data, both.branch("language")[0].data)
+
+
+@pytest.mark.parametrize("placement,visual,language", [
+    ("visual", True, False), ("language", False, True), ("both", True, True), (None, False, False),
+])
+def test_covers_follows_the_placement(placement, visual, language):
+    adapter = None if placement is None else AdapterParams.init(3, 0.2, placement, 0)
+    assert (covers(adapter, "visual"), covers(adapter, "language")) == (visual, language)
 
 
 def test_adapter_names_carry_prefix():

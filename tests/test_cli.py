@@ -91,17 +91,20 @@ def test_gen_data_rejects_non_finite_parameters(tmp_path, capsys, flags):
     assert not out.exists()
 
 
-def test_gen_data_overflow_stderr_starts_with_error_in_a_fresh_process(tmp_path):
-    """Run as a subprocess, so a numpy RuntimeWarning would reach stderr
-    ahead of the error line instead of being captured by pytest."""
-    out = tmp_path / "d.ltds"
+def _fresh_process(*argv, cwd=None) -> subprocess.CompletedProcess:
+    """`tailadapt argv` in a new interpreter, so warnings and tracebacks
+    reach its stderr instead of being captured by pytest."""
     src = str(Path(tailadapt.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run(
-        [sys.executable, "-m", "tailadapt.cli", "gen-data", "--kind", "exp",
-         "--sigma", "1e308", "--out", str(out)],
-        env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-m", "tailadapt.cli", *argv],
+                          env=env, cwd=cwd, capture_output=True, text=True)
+
+
+def test_gen_data_overflow_stderr_starts_with_error_in_a_fresh_process(tmp_path):
+    """A numpy RuntimeWarning would reach stderr ahead of the error line."""
+    out = tmp_path / "d.ltds"
+    proc = _fresh_process("gen-data", "--kind", "exp", "--sigma", "1e308", "--out", str(out))
     assert proc.returncode == 1
     assert proc.stderr.splitlines()[0].startswith("error:"), proc.stderr
     assert not out.exists()
@@ -112,13 +115,7 @@ def test_sweep_lambda_error_names_the_lambda_in_a_fresh_process(tmp_path):
     the error line says which lambda of the sweep it was."""
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"seed": 7}))
-    src = str(Path(tailadapt.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run(
-        [sys.executable, "-m", "tailadapt.cli", "sweep-lambda", "--config", str(cfg),
-         "--values", "0.2,1.0"],
-        env=env, capture_output=True, text=True)
+    proc = _fresh_process("sweep-lambda", "--config", str(cfg), "--values", "0.2,1.0")
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: lambda 1.0: row "), proc.stderr
     assert "Traceback" not in proc.stderr and proc.stdout == ""
@@ -287,19 +284,6 @@ def test_eval_rejects_dataset_with_other_class_count(tmp_path, capsys):
     assert captured.err.startswith("error:") and "classes" in captured.err
 
 
-@pytest.mark.parametrize("tau", ["nan", "inf"])
-def test_eval_rejects_non_finite_tau(tmp_path, capsys, tau):
-    data = _gen(tmp_path, capsys)
-    cfg_path, cfg = _config_file(tmp_path, data)
-    assert main(["train", "--config", str(cfg_path), "--mode", "phase_a_only"]) == 0
-    capsys.readouterr()
-    rc = main(["eval", "--checkpoint", cfg["checkpoint_path"], "--data", str(data),
-               "--tau", tau])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert captured.err.startswith("error:") and "temperature" in captured.err
-
-
 @pytest.mark.parametrize("extra", [
     {"warm_start": True, "warm_start_per_class": -1},
     {"dataset": {"kind": "exponential", "feature_dim": -2}},
@@ -362,6 +346,43 @@ def test_gen_data_with_unallocatable_size_is_a_diagnostic_failure(tmp_path, caps
     assert rc == 1
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
     assert not out.exists()
+
+
+# sizes past what numpy can index: alone (10^30, 10^19), or in a product of
+# sizes that each fit in int64 (2^60 x 8 bytes, 10^18 rows x 16 features)
+GEN_DATA = ["gen-data", "--kind", "exp", "--out", "d.ltds"]
+OVERSIZED = {
+    "classes": GEN_DATA + ["--classes", str(10**30)],
+    "dim": GEN_DATA + ["--dim", str(10**30)],
+    "test-per-class": GEN_DATA + ["--test-per-class", str(10**30)],
+    "num-classes": {"dataset": {"num_classes": 10**30}},
+    "feature-dim": {"dataset": {"feature_dim": 10**30}},
+    "n-max": {"dataset": {"n_max": 10**30}},
+    "hidden": {"model": {"hidden": [10**30]}},
+    "warm-start-per-class": {"warm_start": True, "warm_start_per_class": 10**30},
+    "batch-size": {"batch_size": 10**19},
+    "batch-size-2^60": {"batch_size": 2**60},
+    "feature-dim-2^60": {"dataset": {"feature_dim": 2**60}},
+    "shared-dim-2^60": {"model": {"shared_dim": 2**60}},
+    "n-max-10^18": {"dataset": {"n_max": 10**18}},
+}
+
+
+@pytest.mark.parametrize("case", OVERSIZED.values(), ids=OVERSIZED.keys())
+def test_an_oversized_size_is_one_error_line_in_a_fresh_process(tmp_path, case):
+    """Each size is refused before anything is allocated for it, so the
+    message is this package's, not numpy's, and no file is written."""
+    if isinstance(case, list):
+        proc = _fresh_process(*case, cwd=tmp_path)
+    else:
+        (tmp_path / "config.json").write_text(json.dumps(case))
+        proc = _fresh_process("train", "--config", "config.json", cwd=tmp_path)
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error:") and "too large to allocate" in proc.stderr
+    assert proc.stdout == ""
+    assert [p.name for p in tmp_path.iterdir()] == ([] if isinstance(case, list)
+                                                    else ["config.json"])
 
 
 def test_sweep_lambda_table_output(tmp_path, capsys):

@@ -198,6 +198,7 @@ def test_frozen_features_serve_rows_without_a_tape():
     x = Tensor(np.concatenate(splits))
     assert np.array_equal(features.rows, visual_features(Graph(), params, x).data)
     assert not (features.rows.flags.writeable or features.text.flags.writeable)
+    assert features.named_parameters() == []
     g = Graph()
     rows = Tensor(features.rows[[4, 0]])
     assert visual_features(g, features, rows) is rows

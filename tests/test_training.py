@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import weakref
 from dataclasses import FrozenInstanceError, replace
 
@@ -549,6 +550,32 @@ def test_dataset_values_are_checked_when_built(field, value):
     kind = "pareto" if field == "alpha" else "exponential"
     with pytest.raises(ConfigurationError, match=field):
         DatasetSpec(kind=kind, **{field: value})
+
+
+_BELOW_LEAST = [
+    (RunConfig, "epochs_a", -1, "epochs_a must be >= 0, got -1"),
+    (RunConfig, "epochs_b", -1, "epochs_b must be >= 0, got -1"),
+    (RunConfig, "warm_start_epochs", -1, "warm_start_epochs must be >= 0, got -1"),
+    (RunConfig, "warm_start_per_class", 0, "warm_start_per_class must be >= 1, got 0"),
+    (RunConfig, "batch_size", 0, "batch_size must be >= 1, got 0"),
+    (RunConfig, "seed", -1, "seed must be >= 0, got -1"),
+    (RunConfig, "lr_backbone", -0.5, "lr_backbone must be >= 0, got -0.5"),
+    (RunConfig, "lr_adapter", math.nan, "lr_adapter must be >= 0, got nan"),
+    (ModelConfig, "input_dim", 0, "model width input_dim must be >= 1, got 0"),
+    (ModelConfig, "num_classes", 0, "model width num_classes must be >= 1, got 0"),
+    (ModelConfig, "hidden", (4, 0), "model width hidden[1] must be >= 1, got 0"),
+    (ModelConfig, "visual_dim", 0, "model width visual_dim must be >= 1, got 0"),
+    (ModelConfig, "embed_dim", 0, "model width embed_dim must be >= 1, got 0"),
+    (ModelConfig, "text_dim", 0, "model width text_dim must be >= 1, got 0"),
+    (ModelConfig, "shared_dim", 0, "model width shared_dim must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("cls,field,value,message", _BELOW_LEAST,
+                         ids=[f"{cls.__name__}.{field}" for cls, field, *_ in _BELOW_LEAST])
+def test_each_size_below_its_least_names_its_field(cls, field, value, message):
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        cls(**{field: value})
 
 
 def test_file_dataset_ignores_synthesis_values():

@@ -18,7 +18,7 @@ import numpy as np
 
 from .autodiff import Graph, Tensor
 from .checkpoint import ADAPTER_PREFIX
-from .encoders import init_array, text_features, visual_features
+from .encoders import init_array, map_visual, text_features
 from .errors import ConfigurationError, check_choice
 
 PLACEMENTS = ("visual", "language", "both")
@@ -84,8 +84,8 @@ def adapt(g: Graph, f: Tensor, weight: Tensor, bias: Tensor, lam: float) -> Tens
 def adapted_visual(g: Graph, params, adapter: AdapterParams, x: Tensor) -> Tensor:
     """Visual embedding with the residual blend applied before normalization."""
     weight, bias = adapter.branch("visual")
-    f = visual_features(g, params, x)
-    return g.l2_normalize(adapt(g, f, weight, bias, adapter.lam))
+    return map_visual(g, params, x,
+                      lambda g, f: g.l2_normalize(adapt(g, f, weight, bias, adapter.lam)))
 
 
 def adapted_text(g: Graph, params, adapter: AdapterParams, class_ids) -> Tensor:

@@ -22,6 +22,10 @@ per forward pass; distinct graphs over distinct parameter copies are
 independent. A `Forward` is a `Graph` that records nothing, for inference:
 its ops compute the same values bit for bit, each intermediate is freed once
 nothing reads it, and `backward` on it raises, since no loss is on its tape.
+`map_rows` runs a row-wise chain over a `Forward` in even blocks of at most
+`ROW_BLOCK` rows, written into one output array, so only one block's
+intermediates are alive at a time; on a `Graph` the chain runs over the whole
+batch, whose intermediates backward needs anyway.
 """
 
 from __future__ import annotations
@@ -41,6 +45,8 @@ from .errors import (
 
 # rows with l2 norm below this are rejected rather than divided by ~0
 NORM_FLOOR = 1e-12
+# the most rows a Forward's row-wise chain maps at once (see map_rows)
+ROW_BLOCK = 1024
 
 
 def check_temperature(tau: float) -> None:
@@ -136,7 +142,11 @@ class Graph:
     Every op appends one record whose inputs were all created earlier, so
     walking the tape in reverse visits consumers before producers and plain
     gradient accumulation is correct even when a tensor fans out.
+    `first_row` is where its input rows start in the whole split, so an
+    error names a row of the split.
     """
+
+    first_row = 0
 
     def __init__(self):
         # (inputs, out, backward) per op, in forward order
@@ -155,7 +165,10 @@ class Graph:
     def affine(self, x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         """out[i, j] = sum_k x[i, k] w[k, j] + b[j]; without b, no bias term."""
         _check_affine(x, w, w.shape[1:] if b is None else b.shape)
-        out = Tensor(x.data @ w.data if b is None else x.data @ w.data + b.data)
+        y = x.data @ w.data
+        if b is not None:
+            y += b.data
+        out = Tensor(y)
 
         def backward(g: np.ndarray) -> None:
             _acc(x, g @ w.data.T)
@@ -169,7 +182,8 @@ class Graph:
         """relu(x @ w + b) as one node. It keeps its output, not the
         pre-activation: the output is positive exactly where that was."""
         _check_affine(x, w, b.shape)
-        y = x.data @ w.data + b.data
+        y = x.data @ w.data
+        y += b.data
         out = Tensor(np.maximum(y, 0.0, out=y))
 
         def backward(g: np.ndarray) -> None:
@@ -188,7 +202,7 @@ class Graph:
         if np.fmin.reduce(norms, initial=np.inf) < NORM_FLOOR:  # ignores NaN, as < does
             bad = int(np.argmax(norms < NORM_FLOOR))
             raise DegenerateEmbeddingError(
-                f"row {bad} has norm {norms[bad]:.3e} < {NORM_FLOOR:g}")
+                f"row {self.first_row + bad} has norm {norms[bad]:.3e} < {NORM_FLOOR:g}")
         y = x.data / norms[:, None]
         out = Tensor(y)
 
@@ -209,7 +223,8 @@ class Graph:
             raise DimensionError(
                 f"contrastive expects two 2-d inputs of one shape, got {v.shape} and {u.shape}")
         n = v.shape[0]
-        shifted = v.data @ u.data.T / tau
+        shifted = v.data @ u.data.T
+        shifted /= tau
         shifted -= shifted.max(axis=1, keepdims=True)
         softmax = np.exp(shifted)
         denom = softmax.sum(axis=1, keepdims=True)
@@ -243,7 +258,9 @@ class Graph:
             raise DimensionError(f"blend shape mismatch: {a.shape} vs {f.shape}")
         lam = float(lam)
         rest = 1.0 - lam
-        out = Tensor(a.data * lam + f.data * rest)
+        y = a.data * lam
+        y += f.data * rest
+        out = Tensor(y)
 
         def backward(g: np.ndarray) -> None:
             _acc(f, g * rest)
@@ -311,9 +328,40 @@ class Graph:
 class Forward(Graph):
     """A graph without a tape: the same ops and values, and nothing kept."""
 
+    def __init__(self, first_row: int = 0):
+        super().__init__()
+        self.first_row = first_row
+
     def _record(self, inputs: tuple[Tensor, ...], out: Tensor,
                 backward: Callable[[np.ndarray], None]) -> Tensor:
         return out
+
+
+def row_blocks(n: int) -> list[tuple[int, int]]:
+    """(start, stop) of n rows split evenly into blocks of at most ROW_BLOCK
+    rows. Sizes differ by one at most, so no block is a short tail: BLAS can
+    round a 1-row product apart from the same row inside a larger one."""
+    count = max(1, -(-n // ROW_BLOCK))
+    bounds = [i * n // count for i in range(count + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def map_rows(g: Graph, chain: Callable[[Graph, Tensor], Tensor], x: Tensor) -> Tensor:
+    """chain(g, x) for a chain of ops that maps each row of a 2-d x on its own.
+
+    On a Forward, an x of more than ROW_BLOCK rows goes through chain one
+    row block at a time, each on a Forward that knows its first row, and
+    the blocks are written into one output array. Anything else is one call.
+    """
+    if not isinstance(g, Forward) or x.shape[0] <= ROW_BLOCK:
+        return chain(g, x)
+    out = None
+    for start, stop in row_blocks(x.shape[0]):
+        y = chain(Forward(g.first_row + start), Tensor(x.data[start:stop])).data
+        if out is None:
+            out = np.empty((x.shape[0], *y.shape[1:]))
+        out[start:stop] = y
+    return Tensor(out)
 
 
 # ---- gradient checking ----------------------------------------------------

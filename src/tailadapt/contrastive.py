@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Graph, Tensor, check_temperature
+from .autodiff import Graph, Tensor, check_temperature, row_blocks
 from .errors import DimensionError
 
 
@@ -92,11 +92,16 @@ def predict(v, bank: ClassBank, tau: float = 1.0) -> int:
 
 
 def predict_batch(v_rows, bank: ClassBank, tau: float = 1.0) -> np.ndarray:
-    """Vectorized predict over rows; same tie-breaking as predict."""
+    """Vectorized predict over rows; same tie-breaking as predict. Rows are
+    scored in autodiff.row_blocks, so no score matrix holds every row."""
     mat = _as_matrix(v_rows)
     if mat.ndim != 2 or mat.shape[1] != bank.embeddings.shape[1]:
         raise DimensionError(
             f"queries of shape {mat.shape} vs bank width {bank.embeddings.shape[1]}")
     check_temperature(tau)
-    scores = mat @ bank.embeddings.T  # monotone in the probabilities
-    return bank.class_ids[np.argmax(scores, axis=1)]
+    best = np.empty(mat.shape[0], dtype=np.int64)
+    for start, stop in row_blocks(mat.shape[0]):
+        # scores are monotone in the probabilities; each block's are freed
+        # before the next block's are made
+        best[start:stop] = np.argmax(mat[start:stop] @ bank.embeddings.T, axis=1)
+    return bank.class_ids[best]

@@ -125,6 +125,7 @@ class LongTailedDataset:
         self.class_counts = np.asarray(self.class_counts, dtype=np.int64)
         if self.features.ndim != 2 or self.labels.ndim != 1:
             raise ConfigurationError("features must be 2-d with a flat label array")
+        check_at_least("test_per_class", self.test_per_class, 1)
         # a NaN carries through min and max; the row mask only names the row
         f = self.features
         if f.size and not (np.isfinite(f.min()) and np.isfinite(f.max())):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .autodiff import Forward, Graph, Tensor, check_ids
+from .autodiff import Forward, Graph, Tensor, check_ids, map_rows
 from .checkpoint import digest_arrays
 from .errors import ConfigurationError, DimensionError, check_allocatable, check_at_least
 
@@ -212,16 +212,32 @@ def _mlp(g: Graph, layers: list[tuple[Tensor, Tensor]], x: Tensor) -> Tensor:
     return g.affine(h, w, b)
 
 
+def _check_input(params, x: Tensor) -> None:
+    width = (params.config.shared_dim if isinstance(params, FrozenFeatures)
+             else params.config.input_dim)
+    if x.data.ndim != 2 or x.shape[1] != width:
+        raise DimensionError(f"expected input of width {width}, got {x.shape}")
+
+
+def _project(g: Graph, params, x: Tensor) -> Tensor:
+    if isinstance(params, FrozenFeatures):
+        return x
+    return g.affine(_mlp(g, params.layers("visual"), x), params.tensors["proj/visual"])
+
+
 def visual_features(g: Graph, params, x: Tensor) -> Tensor:
     """Projected visual embedding before normalization. Over FrozenFeatures
     the input rows are those features already, and come back as they are."""
-    cached = isinstance(params, FrozenFeatures)
-    width = params.config.shared_dim if cached else params.config.input_dim
-    if x.data.ndim != 2 or x.shape[1] != width:
-        raise DimensionError(f"expected input of width {width}, got {x.shape}")
-    if cached:
-        return x
-    return g.affine(_mlp(g, params.layers("visual"), x), params.tensors["proj/visual"])
+    _check_input(params, x)
+    return _project(g, params, x)
+
+
+def map_visual(g: Graph, params, x: Tensor, head) -> Tensor:
+    """head(g, visual_features(g, params, x)) for a head that maps each row
+    on its own, through autodiff.map_rows: on a Forward, a large x goes
+    through in row blocks. x is checked whole first."""
+    _check_input(params, x)
+    return map_rows(g, lambda g, rows: head(g, _project(g, params, rows)), x)
 
 
 def text_features(g: Graph, params, class_ids) -> Tensor:
@@ -241,7 +257,7 @@ def text_features(g: Graph, params, class_ids) -> Tensor:
 
 def encode_visual(g: Graph, params, x: Tensor) -> Tensor:
     """Rows of unit-norm visual embeddings in the shared space."""
-    return g.l2_normalize(visual_features(g, params, x))
+    return map_visual(g, params, x, Graph.l2_normalize)
 
 
 def encode_text(g: Graph, params, class_ids) -> Tensor:

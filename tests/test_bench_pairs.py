@@ -49,6 +49,16 @@ def test_digest_variants_reach_the_sampler_fallbacks():
         c.dataset.num_classes, c.dataset.n_max, c.dataset.rho) for c in configs)
 
 
+def test_a_digest_variant_evaluates_in_several_row_blocks():
+    from tailadapt.autodiff import ROW_BLOCK
+    from tailadapt.training import RunConfig
+
+    configs = [RunConfig.from_dict({**overrides, "seed": 0})
+               for overrides in _bench_pairs().VARIANTS.values()]
+    # past 4,096 rows some products switch BLAS kernels; the blocks must not
+    assert max(c.dataset.num_classes * c.dataset.test_per_class for c in configs) > 4 * ROW_BLOCK
+
+
 def test_a_digest_variant_warm_starts_on_a_file_dataset(tmp_path):
     from tailadapt.cli import main
     from tailadapt.training import RunConfig, build_dataset

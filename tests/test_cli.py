@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -282,6 +283,36 @@ def test_eval_rejects_dataset_with_other_class_count(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.err.startswith("error:") and "classes" in captured.err
+
+
+def _without_test_rows(path: Path) -> Path:
+    """A copy of the .ltds file at path with the test split cut off and a
+    header that says test_per_class 0, which the byte layout allows."""
+    blob = path.read_bytes()
+    dim, k = struct.unpack_from("<II", blob, 16)
+    counts = struct.unpack_from(f"<{k}Q", blob, 24)
+    header = 24 + 8 * k + 8
+    n_train = sum(counts)
+    out = path.with_name("no_test_rows.ltds")
+    out.write_bytes(blob[:8] + struct.pack("<Q", n_train) + blob[16:header - 8]
+                    + struct.pack("<Q", 0) + blob[header:header + n_train * (4 + 8 * dim)])
+    return out
+
+
+def test_a_dataset_without_test_rows_is_one_error_line_in_a_fresh_process(tmp_path, capsys):
+    """Scoring an empty test split used to warn twice and report overall null."""
+    data = _gen(tmp_path, capsys)
+    cfg_path, cfg = _config_file(tmp_path, data)
+    assert main(["train", "--config", str(cfg_path), "--mode", "phase_a_only"]) == 0
+    capsys.readouterr()
+    empty = _without_test_rows(data)
+    cfg_path, _ = _config_file(tmp_path, empty)
+    for argv in (["train", "--config", str(cfg_path)],
+                 ["eval", "--checkpoint", cfg["checkpoint_path"], "--data", str(empty)]):
+        proc = _fresh_process(*argv)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error:") and "test_per_class must be >= 1" in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1 and proc.stdout == "", proc.stderr
 
 
 @pytest.mark.parametrize("extra", [

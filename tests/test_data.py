@@ -534,6 +534,13 @@ def test_huge_row_count_rejected_before_allocating(tmp_path, n_total):
         read_dataset(path)
 
 
+def test_a_dataset_needs_a_test_row_per_class():
+    ds = synth_exponential(3, 4, 2.0, 2, seed=0, test_per_class=1)
+    train = slice(0, ds.n_train)
+    with pytest.raises(ConfigurationError, match="test_per_class must be >= 1, got 0"):
+        LongTailedDataset(ds.features[train], ds.labels[train], ds.class_counts, 0)
+
+
 def test_header_without_rows_rejected(tmp_path):
     # zero rows leave the width unchecked by the length; no row dtype holds 2^32 - 1
     import struct as _struct

@@ -50,7 +50,9 @@ SIDES = ("parent", "change")
 # that at other matmul block shapes. The file variant trains on the seed's
 # GEN_DATA "exp" file, written as FILE_DATA in the run directory: a file holds
 # no class means, so its warm start draws the pool around the empirical means
-# with dataset.sigma.
+# with dataset.sigma. The 5,000 test rows of the last variant go through
+# evaluate in several row blocks (autodiff.ROW_BLOCK), at a row count where
+# OpenBLAS picks other kernels for some output widths.
 FILE_DATA = "file_variant.ltds"
 MODES = ("two_phase", "phase_a_only", "joint", "zero_shot_baseline")
 VARIANTS = {
@@ -64,6 +66,7 @@ VARIANTS = {
                               "epochs_b": 2, "model": {"hidden": [128, 128], "visual_dim": 64,
                                                        "text_dim": 64, "shared_dim": 32}},
     "file+warm_start": {"dataset": {"kind": "file", "path": FILE_DATA}, "warm_start": True},
+    "test_rows5000": {"dataset": {"test_per_class": 250}},
 }
 SWEEP_LAMBDAS = (0.0, 0.2, 0.5, 0.9)
 SWEEP_MODES = ("two_phase", "joint")
